@@ -16,6 +16,7 @@
 //! or timeout says nothing deterministic about the spec).
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -69,6 +70,13 @@ pub struct ResultCache {
 /// The on-disk file name of a cache entry.
 fn entry_file(key: u64) -> String {
     format!("{key:016x}.json")
+}
+
+/// The temp file an entry is written to before being renamed into place.
+/// It does not parse as an entry name, so a leftover from a crash is never
+/// loaded.
+fn temp_file(key: u64) -> String {
+    format!("{}.{}.tmp", entry_file(key), std::process::id())
 }
 
 /// Parses a `{key:016x}.json` file name back to its key.
@@ -130,8 +138,9 @@ impl ResultCache {
         }
     }
 
-    /// Inserts a document, persisting it when a store directory is set and
-    /// evicting LRU entries past the byte budget. Returns the shared
+    /// Inserts a document, persisting it atomically (temp file, then
+    /// rename) when a store directory is set, and evicting LRU entries
+    /// past the byte budget. Returns the shared
     /// document (the existing one if the key was already present — the
     /// determinism invariant makes any two documents for one key
     /// byte-identical, so first-write wins is safe).
@@ -141,7 +150,17 @@ impl ResultCache {
             return Ok(existing);
         }
         if let Some(dir) = &self.config.dir {
-            std::fs::write(dir.join(entry_file(key)), document)?;
+            // Write-then-rename: the entry name only ever refers to a
+            // complete document, so a crash mid-write leaves at worst an
+            // ignored temp file, never a torn entry that loads as a hit.
+            // The sync orders the data before the rename, so this holds
+            // across a power loss too (the entry itself may then be lost,
+            // which only costs a recomputation).
+            let temp = dir.join(temp_file(key));
+            let mut file = std::fs::File::create(&temp)?;
+            file.write_all(document.as_bytes())?;
+            file.sync_all()?;
+            std::fs::rename(&temp, dir.join(entry_file(key)))?;
         }
         let doc: Arc<str> = Arc::from(document);
         self.attach(key, doc.clone());
@@ -259,6 +278,41 @@ mod tests {
         c.insert(2, "also enormous for this budget").unwrap();
         assert!(c.get(1).is_none(), "the older giant goes");
         assert!(c.get(2).is_some());
+    }
+
+    #[test]
+    fn persisted_entries_leave_no_temp_files_and_leftovers_are_ignored() {
+        let dir = std::env::temp_dir().join(format!(
+            "platoon-cache-unit-{}-temp-files",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            ResultCache::open(CacheConfig {
+                max_bytes: 1024,
+                dir: Some(dir.clone()),
+            })
+            .expect("disk cache opens")
+        };
+        let mut c = open();
+        c.insert(7, "{\"whole\": true}").unwrap();
+        let names = || -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(), [entry_file(7)], "the temp file was renamed away");
+
+        // A crash between write and rename leaves a torn temp file behind.
+        std::fs::write(dir.join(temp_file(8)), "{\"torn\": ").unwrap();
+        let mut reloaded = open();
+        assert_eq!(reloaded.stats().loaded, 1, "only the complete entry loads");
+        assert_eq!(reloaded.get(8), None, "the torn document is not a hit");
+        assert_eq!(reloaded.get(7).as_deref(), Some("{\"whole\": true}"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -19,11 +19,15 @@
 //!
 //! `shutdown` drains the service queue, stops the accept loop, and ends
 //! the process-level `serve` command.
+//!
+//! Request lines are untrusted: one longer than [`MAX_REQUEST_LINE`], not
+//! UTF-8, nested deeper than [`json::MAX_DEPTH`] or otherwise malformed
+//! gets a `{"type": "error", ...}` line, and the connection keeps serving.
 
 use crate::job::{JobSpec, CODE_VERSION};
 use crate::service::{JobStatus, Service, ServiceSnapshot};
 use platoon_sim::harness::json::{self, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,16 +83,69 @@ impl NetServer {
     }
 }
 
+/// The longest request line the server reads, newline excluded. Far above
+/// any real batch (a spec's canonical spelling is a few hundred bytes), far
+/// below what could exhaust memory.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
+/// One request line read with [`read_request_line`].
+#[derive(Debug, PartialEq, Eq)]
+enum RequestLine {
+    /// A complete line (newline stripped).
+    Line(String),
+    /// A line over [`MAX_REQUEST_LINE`] bytes, or not UTF-8; it was
+    /// consumed through its newline without being kept.
+    Rejected(String),
+    /// The client closed the connection.
+    Eof,
+}
+
+/// Reads one line of at most `max` bytes from `reader` into `buf`. An
+/// over-long line is skipped in bounded chunks up to and including its
+/// newline, so the connection stays usable for the next request.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    max: usize,
+) -> std::io::Result<RequestLine> {
+    buf.clear();
+    let n = Read::take(&mut *reader, max as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > max {
+        // Discard the rest of the line without buffering it.
+        reader.skip_until(b'\n')?;
+        return Ok(RequestLine::Rejected(format!(
+            "request line longer than {max} bytes"
+        )));
+    }
+    match std::str::from_utf8(buf) {
+        Ok(line) => Ok(RequestLine::Line(line.trim_end_matches('\r').to_string())),
+        Err(_) => Ok(RequestLine::Rejected("request line is not UTF-8".into())),
+    }
+}
+
 fn handle_connection(
     stream: TcpStream,
     service: &Service,
     stop: &AtomicBool,
     addr: SocketAddr,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request_line(&mut reader, &mut buf, MAX_REQUEST_LINE)? {
+            RequestLine::Eof => break,
+            RequestLine::Rejected(reason) => {
+                writeln!(writer, "{}", error_line(&reason))?;
+                continue;
+            }
+            RequestLine::Line(line) => line,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -420,5 +477,61 @@ impl Client {
             Some(Value::Str(t)) if t == "ok" => Ok(()),
             _ => Err(format!("unexpected shutdown reply: {reply}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    fn read_all(input: &[u8], max: usize) -> Vec<RequestLine> {
+        // A tiny buffer so over-long lines span several buffer refills.
+        let mut reader = BufReader::with_capacity(3, Cursor::new(input.to_vec()));
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let line = read_request_line(&mut reader, &mut buf, max).expect("in-memory read");
+            if line == RequestLine::Eof {
+                return out;
+            }
+            out.push(line);
+        }
+    }
+
+    #[test]
+    fn lines_up_to_the_cap_are_read_and_longer_ones_skipped() {
+        let got = read_all(b"abcd\nabcd\r\nabcdefghij\nok\nlast", 5);
+        assert_eq!(
+            got,
+            [
+                RequestLine::Line("abcd".into()),
+                RequestLine::Line("abcd".into()),
+                RequestLine::Rejected("request line longer than 5 bytes".into()),
+                RequestLine::Line("ok".into()),
+                RequestLine::Line("last".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_over_long_final_line_without_newline_is_rejected() {
+        assert_eq!(
+            read_all(b"0123456789", 4),
+            [RequestLine::Rejected(
+                "request line longer than 4 bytes".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn non_utf8_lines_are_rejected_without_ending_the_stream() {
+        assert_eq!(
+            read_all(b"\xff\xfe\nok\n", 16),
+            [
+                RequestLine::Rejected("request line is not UTF-8".into()),
+                RequestLine::Line("ok".into()),
+            ]
+        );
     }
 }

@@ -4,7 +4,7 @@
 use platoon_server::cache::{CacheConfig, ResultCache};
 use platoon_server::grids::experiment_grid;
 use platoon_server::job::{cache_key, JobSpec, CODE_VERSION};
-use platoon_server::net::{Client, NetServer};
+use platoon_server::net::{Client, NetServer, MAX_REQUEST_LINE};
 use platoon_server::service::{JobStatus, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -219,6 +219,41 @@ fn tcp_protocol_round_trips_and_hits_the_cache() {
 
     second_client.shutdown().expect("shutdown");
     server.join(); // returns only if the accept loop really stopped
+}
+
+/// Hostile request lines — nesting deep enough to overflow a recursive
+/// parser, a line past the length cap, bytes that are not UTF-8 — each get
+/// a structured error reply, and the same connection keeps serving.
+#[test]
+fn hostile_request_lines_get_error_replies_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let service = Arc::new(Service::start(ServiceConfig::default()).expect("service starts"));
+    let server = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut ask = |line: &[u8]| {
+        writer.write_all(line).expect("send");
+        writer.write_all(b"\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        reply
+    };
+    let too_deep = ask(&[b'['; 100_000]);
+    assert!(too_deep.contains("\"type\": \"error\""), "{too_deep}");
+    assert!(too_deep.contains("nesting deeper"), "{too_deep}");
+    let too_long = ask(&vec![b' '; MAX_REQUEST_LINE + 1]);
+    assert!(too_long.contains("\"type\": \"error\""), "{too_long}");
+    assert!(too_long.contains("longer than"), "{too_long}");
+    let not_utf8 = ask(&[0xFF, 0xFE]);
+    assert!(not_utf8.contains("not UTF-8"), "{not_utf8}");
+    let pong = ask(b"{\"type\": \"ping\"}");
+    assert!(pong.contains("\"type\": \"pong\""), "{pong}");
+
+    let mut client =
+        Client::connect(&server.addr().to_string(), Some(Duration::from_secs(5))).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// A budget timeout fails the job with queue-wait-aware diagnostics, the

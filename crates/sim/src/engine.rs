@@ -24,6 +24,7 @@ use crate::fault::Fault;
 use crate::metrics::{score_alerts, DetectionSummary, MetricsCollector, RunSummary, TruthLabels};
 use crate::par;
 use crate::perf::PerfCounters;
+use crate::reception::{FrameTable, IntSet};
 use crate::regime::{steps_for, RegimeState};
 use crate::scenario::{AuthMode, CommsMode, ControllerKind, Scenario};
 use crate::trace::{TraceDetail, TracePhase, TraceRecord, Tracer};
@@ -56,7 +57,7 @@ use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Payload, Positi
 use platoon_v2x::spatial::SpatialGrid;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Salt for deriving the trusted authority's key pair from the scenario seed.
 const CA_SEED_SALT: u64 = 0xCA00_0000_0000_0001;
@@ -68,17 +69,25 @@ const JOIN_ARRIVAL_TOLERANCE: f64 = 30.0;
 /// Reusable per-step scratch buffers.
 ///
 /// The engine's hot loop builds the same transient collections every
-/// communication step (outgoing frames, the receiver roster, detector
-/// observation batches, dedup sets, the command vector). Allocating them
-/// once and clearing them per tick keeps the steady-state step free of
-/// heap churn; each buffer is `mem::take`n for the duration of the phase
-/// that fills it, so the split borrows stay trivial.
+/// communication step (outgoing frames, the receiver roster, the reception
+/// frame table, detector observation batches, dedup sets, the command
+/// vector). Allocating them once and clearing them per tick keeps the
+/// steady-state step free of heap churn; each buffer is `mem::take`n for
+/// the duration of the phase that fills it, so the split borrows stay
+/// trivial.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// Outgoing frames handed to the medium.
     frames: Vec<Frame>,
     /// Nodes able to receive this step.
     receivers: Vec<Receiver>,
+    /// Reception: the round's distinct payloads, each decoded once.
+    frame_table: FrameTable,
+    /// Reception: one entry per delivery to a vehicle, in delivery order.
+    rx_entries: Vec<RxEntry>,
+    /// Reception: authentication verdicts for one block of `rx_entries`;
+    /// `None` where the frame did not decode.
+    verdicts: Vec<Option<Result<PlatoonMessage, RejectReason>>>,
     /// This step's accepted message observations, in arrival order, for
     /// one batched detector ingest per delivery round.
     observations: Vec<MessageObservation>,
@@ -91,26 +100,30 @@ struct StepScratch {
     /// Controller commands.
     commands: Vec<f64>,
     /// PDR dedup: (sender, receiver) pairs already counted this step.
-    seen_pairs: HashSet<(NodeId, NodeId)>,
-    /// Protocol dedup: (receiver, payload hash) already applied this step.
-    seen_payloads: HashSet<(usize, u64)>,
+    seen_pairs: IntSet<(NodeId, NodeId)>,
+    /// Protocol dedup: (receiver index, frame slot) already applied this
+    /// round.
+    seen_frames: IntSet<(usize, u32)>,
     /// Parallel sealing staging: (vehicle index, message, sealed nonce).
     seal_jobs: Vec<(usize, PlatoonMessage, u64)>,
 }
 
-/// Outcome of the rng-free decode + authenticate pre-pass over one
-/// delivery, computed in parallel when the engine runs multi-threaded.
-/// Consumed in delivery order by the sequential protocol loop.
-#[derive(Debug, Default)]
-enum PreVerdict {
-    /// Receiver is not a vehicle: the delivery is skipped entirely.
-    #[default]
-    Skip,
-    /// The payload failed to decode as an envelope.
-    Undecodable,
-    /// Decoded; carries the engine-level authentication verdict.
-    Verified(Envelope, Result<PlatoonMessage, RejectReason>),
+/// One delivery to a vehicle, resolved against the round's frame table.
+#[derive(Debug)]
+struct RxEntry {
+    /// Position in the round's delivery slice.
+    delivery: u32,
+    /// Receiving vehicle index.
+    rx_idx: u32,
+    /// Frame slot of the delivery's payload.
+    slot: u32,
 }
+
+/// Deliveries verified per thread between two sequential application
+/// passes: large enough to amortise a thread spawn, small enough that the
+/// verdict buffer stays a fixed, modest size however many deliveries a
+/// round holds.
+const VERIFY_BLOCK_PER_THREAD: usize = 1024;
 
 /// A passive tap on the accepted-message observation stream.
 ///
@@ -1367,13 +1380,9 @@ impl Engine {
         }
     }
 
-    /// Engine-level authentication per the deployed key scheme.
-    fn authenticate(&self, env: &Envelope, now: f64) -> Result<PlatoonMessage, RejectReason> {
-        Self::authenticate_with(self.scenario.auth, &self.group_key, &self.ca, env, now)
-    }
-
-    /// The borrow-friendly body of [`Self::authenticate`]: pure verification
-    /// against immutable key material, shardable across threads.
+    /// Engine-level authentication per the deployed key scheme: pure
+    /// verification against immutable key material, shardable across
+    /// threads.
     fn authenticate_with(
         auth: AuthMode,
         group_key: &SymmetricKey,
@@ -1401,6 +1410,25 @@ impl Engine {
         }
     }
 
+    /// Phase 3: one delivery round through the reception pipeline.
+    ///
+    /// 1. **Resolve.** Each delivery to a vehicle maps to a slot of the
+    ///    round's [`FrameTable`] — by payload allocation, then by bytes —
+    ///    so every distinct payload has one slot.
+    /// 2. **Decode once per slot**, sharded over slots when multi-threaded.
+    /// 3. **Verify once per delivery** against the slot's envelope, sharded
+    ///    over the deliveries of a fixed-size block. (Verification is pure
+    ///    and could be memoised per slot too; it is kept per delivery for
+    ///    now — see DESIGN.md §4.)
+    /// 4. **Apply the block sequentially**, in delivery order: PDR accounting,
+    ///    rejects, every defense's `filter_rx` (which sees every copy),
+    ///    the `(receiver, slot)` protocol dedup, observations, and
+    ///    `apply_message`.
+    ///
+    /// Steps 1–3 are rng-free and read only state the round never mutates
+    /// (identity maps, key material, the CA), and step 4 consumes their
+    /// results in delivery order, so one path serves every thread count
+    /// with byte-identical output.
     fn process_deliveries(&mut self, deliveries: &[Delivery], now: f64) {
         self.perf.deliveries += deliveries.len() as u64;
         // PDR accounting: count at most one delivery per (sender, receiver)
@@ -1408,11 +1436,12 @@ impl Engine {
         let mut seen_pairs = std::mem::take(&mut self.scratch.seen_pairs);
         seen_pairs.clear();
         // Protocol dedup: in hybrid modes the same payload arrives on two
-        // channels; apply it once per receiver per step so counters (e.g.
-        // join-request statistics) are not inflated. Defenses still see
-        // every copy via filter_rx (the hybrid cross-validator needs both).
-        let mut seen_payloads = std::mem::take(&mut self.scratch.seen_payloads);
-        seen_payloads.clear();
+        // channels (and a replayer may re-send the same bytes); apply it
+        // once per receiver per round so counters (e.g. join-request
+        // statistics) are not inflated. Defenses still see every copy via
+        // filter_rx (the hybrid cross-validator needs both).
+        let mut seen_frames = std::mem::take(&mut self.scratch.seen_frames);
+        seen_frames.clear();
         // Accepted message observations accumulate here in arrival order
         // and are handed to the detection pipeline in one batched ingest
         // after the loop. The constructed observations depend only on
@@ -1421,31 +1450,24 @@ impl Engine {
         // exact per-delivery stream the detectors saw before.
         let mut observations = std::mem::take(&mut self.scratch.observations);
         observations.clear();
-        // Rng-free pre-pass: envelope decode + cryptographic verification,
-        // sharded across threads. Safe because the identity maps, the key
-        // material and the CA are immutable for the duration of the delivery
-        // loop; all stateful work (PDR accounting, defenses, protocol
-        // application) stays sequential below, in delivery order.
-        let mut pre: Option<Vec<PreVerdict>> = if self.threads > 1 && deliveries.len() > 1 {
-            let world = &self.world;
-            let auth_mode = self.scenario.auth;
-            let group_key = &self.group_key;
-            let ca = &self.ca;
-            Some(par::map_indexed(deliveries, self.threads, |_, delivery| {
-                if world.index_of_node(delivery.receiver).is_none() {
-                    return PreVerdict::Skip;
-                }
-                match Envelope::decode(&delivery.payload) {
-                    Ok(env) => {
-                        let verdict = Self::authenticate_with(auth_mode, group_key, ca, &env, now);
-                        PreVerdict::Verified(env, verdict)
-                    }
-                    Err(_) => PreVerdict::Undecodable,
-                }
-            }))
-        } else {
-            None
-        };
+
+        // Steps 1–2: resolve every delivery to a slot, decode each slot once.
+        let mut table = std::mem::take(&mut self.scratch.frame_table);
+        let mut entries = std::mem::take(&mut self.scratch.rx_entries);
+        let mut verdicts = std::mem::take(&mut self.scratch.verdicts);
+        entries.clear();
+        for (di, delivery) in deliveries.iter().enumerate() {
+            // RSU and attacker receivers are not processed here.
+            if let Some(rx_idx) = self.world.index_of_node(delivery.receiver) {
+                entries.push(RxEntry {
+                    delivery: u32::try_from(di).expect("fewer than 2^32 deliveries a round"),
+                    rx_idx: u32::try_from(rx_idx).expect("fewer than 2^32 vehicles"),
+                    slot: table.slot_of(&delivery.payload),
+                });
+            }
+        }
+        table.decode(self.threads);
+
         // Co-location context for the detector observations: with a finite
         // radio horizon the all-vehicle scan per observation becomes a grid
         // query. Positions are frozen for the whole delivery loop (kinematics
@@ -1473,34 +1495,75 @@ impl Engine {
         // Platoon layout cache for `apply_message`, invalidated whenever a
         // manoeuvre rewrites platoon membership mid-loop.
         let mut layout_cache: Option<PlatoonLayout> = None;
-        for (di, delivery) in deliveries.iter().enumerate() {
-            let Some(rx_idx) = self.world.index_of_node(delivery.receiver) else {
-                continue; // RSU or attacker receiver; vehicles only here.
-            };
-            if self.world.index_of_node(delivery.sender).is_some()
-                && seen_pairs.insert((delivery.sender, delivery.receiver))
-            {
-                self.metrics.links.record_delivery(
-                    delivery.sender,
-                    delivery.receiver,
-                    delivery.latency,
-                );
-            }
-            let (env, auth_verdict) = match pre.as_mut().map(|p| std::mem::take(&mut p[di])) {
-                None => match Envelope::decode(&delivery.payload) {
-                    Ok(env) => {
-                        let verdict = self.authenticate(&env, now);
-                        (env, verdict)
+        // Steps 3–4, block by block: verify the block's deliveries (sharded
+        // over deliveries), then apply them sequentially, in delivery order.
+        let block = VERIFY_BLOCK_PER_THREAD * self.threads.max(1);
+        for block in entries.chunks(block) {
+            let slots = table.slots();
+            let (auth, group_key, ca) = (self.scenario.auth, &self.group_key, &self.ca);
+            verdicts.clear();
+            verdicts.resize_with(block.len(), || None);
+            par::for_each_mut(&mut verdicts, self.threads, |i, verdict| {
+                *verdict = slots[block[i].slot as usize]
+                    .envelope
+                    .as_ref()
+                    .map(|env| Self::authenticate_with(auth, group_key, ca, env, now));
+            });
+            for (entry, verdict) in block.iter().zip(verdicts.drain(..)) {
+                let rx_idx = entry.rx_idx as usize;
+                let slot = entry.slot;
+                let delivery = &deliveries[entry.delivery as usize];
+                if self.world.index_of_node(delivery.sender).is_some()
+                    && seen_pairs.insert((delivery.sender, delivery.receiver))
+                {
+                    self.metrics.links.record_delivery(
+                        delivery.sender,
+                        delivery.receiver,
+                        delivery.latency,
+                    );
+                }
+                let (Some(env), Some(auth_verdict)) =
+                    (slots[slot as usize].envelope.as_ref(), verdict)
+                else {
+                    continue; // undecodable payload
+                };
+                // Engine-level authentication.
+                let msg = match auth_verdict {
+                    Ok(msg) => msg,
+                    Err(reason) => {
+                        self.rejected_messages += 1;
+                        self.events.push(
+                            now,
+                            Event::MessageRejected {
+                                receiver: rx_idx,
+                                sender: env.sender,
+                                reason,
+                            },
+                        );
+                        Self::trace_into(
+                            &mut self.tracer,
+                            self.steps_run,
+                            now,
+                            TracePhase::Defense,
+                            TraceDetail::DefenseVerdict {
+                                receiver: rx_idx as u64,
+                                sender: env.sender.0,
+                                reason: format!("{reason:?}"),
+                            },
+                        );
+                        continue;
                     }
-                    Err(_) => continue,
-                },
-                Some(PreVerdict::Verified(env, verdict)) => (env, verdict),
-                Some(PreVerdict::Undecodable) | Some(PreVerdict::Skip) => continue,
-            };
-            // Engine-level authentication.
-            let msg = match auth_verdict {
-                Ok(msg) => msg,
-                Err(reason) => {
+                };
+                // Defense filters.
+                let mut rejected = None;
+                for defense in self.defenses.iter_mut() {
+                    if let Err(reason) = defense.filter_rx(rx_idx, &self.world, delivery, env, now)
+                    {
+                        rejected = Some(reason);
+                        break;
+                    }
+                }
+                if let Some(reason) = rejected {
                     self.rejected_messages += 1;
                     self.events.push(
                         now,
@@ -1523,57 +1586,22 @@ impl Engine {
                     );
                     continue;
                 }
-            };
-            // Defense filters.
-            let mut rejected = None;
-            for defense in self.defenses.iter_mut() {
-                if let Err(reason) = defense.filter_rx(rx_idx, &self.world, delivery, &env, now) {
-                    rejected = Some(reason);
-                    break;
+                if !seen_frames.insert((rx_idx, slot)) {
+                    continue; // duplicate copy already applied
                 }
+                if wants_observations {
+                    observations.push(Self::build_observation(
+                        &self.world,
+                        rx_idx,
+                        delivery,
+                        env,
+                        &msg,
+                        now,
+                        coloc.as_ref(),
+                    ));
+                }
+                self.apply_message(rx_idx, env.sender, env, msg, now, &mut layout_cache);
             }
-            if let Some(reason) = rejected {
-                self.rejected_messages += 1;
-                self.events.push(
-                    now,
-                    Event::MessageRejected {
-                        receiver: rx_idx,
-                        sender: env.sender,
-                        reason,
-                    },
-                );
-                Self::trace_into(
-                    &mut self.tracer,
-                    self.steps_run,
-                    now,
-                    TracePhase::Defense,
-                    TraceDetail::DefenseVerdict {
-                        receiver: rx_idx as u64,
-                        sender: env.sender.0,
-                        reason: format!("{reason:?}"),
-                    },
-                );
-                continue;
-            }
-            let payload_key = (
-                rx_idx,
-                platoon_crypto::sha256::Sha256::digest(&delivery.payload).to_u64(),
-            );
-            if !seen_payloads.insert(payload_key) {
-                continue; // duplicate channel copy already applied
-            }
-            if wants_observations {
-                observations.push(Self::build_observation(
-                    &self.world,
-                    rx_idx,
-                    delivery,
-                    &env,
-                    &msg,
-                    now,
-                    coloc.as_ref(),
-                ));
-            }
-            self.apply_message(rx_idx, env.sender, &env, msg, now, &mut layout_cache);
         }
         self.perf.detector_observations += observations.len() as u64;
         if let Some(pipeline) = self.pipeline.as_mut() {
@@ -1582,8 +1610,12 @@ impl Engine {
         if let Some(sink) = self.obs_sink.as_mut() {
             sink.on_messages(&observations);
         }
+        table.clear();
+        self.scratch.frame_table = table;
+        self.scratch.rx_entries = entries;
+        self.scratch.verdicts = verdicts;
         self.scratch.seen_pairs = seen_pairs;
-        self.scratch.seen_payloads = seen_payloads;
+        self.scratch.seen_frames = seen_frames;
         self.scratch.observations = observations;
     }
 

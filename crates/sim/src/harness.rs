@@ -511,11 +511,18 @@ pub mod json {
         }
     }
 
-    /// Parses a JSON document.
+    /// How deeply arrays and objects may nest. The parser recurses once
+    /// per level, so without a bound a line of `[`s from an untrusted
+    /// client would overflow the stack and abort the process; every
+    /// document this workspace writes nests fewer than ten levels.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is an
+    /// error, like any other malformed input.
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -538,8 +545,11 @@ pub mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+        }
         match b.get(*pos) {
             None => Err("unexpected end of input".into()),
             Some(b'{') => {
@@ -552,13 +562,13 @@ pub mod json {
                 }
                 loop {
                     skip_ws(b, pos);
-                    let key = match parse_value(b, pos)? {
+                    let key = match parse_value(b, pos, depth + 1)? {
                         Value::Str(s) => s,
                         other => return Err(format!("object key must be a string, got {other:?}")),
                     };
                     skip_ws(b, pos);
                     expect(b, pos, b':')?;
-                    let value = parse_value(b, pos)?;
+                    let value = parse_value(b, pos, depth + 1)?;
                     fields.push((key, value));
                     skip_ws(b, pos);
                     match b.get(*pos) {
@@ -580,7 +590,7 @@ pub mod json {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(b, pos)?);
+                    items.push(parse_value(b, pos, depth + 1)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -1212,12 +1222,16 @@ mod tests {
         assert_eq!(v.get("after"), Some(&Value::Num(2.0)));
     }
 
-    /// Live threads of this process (Linux: one /proc/self/task entry per
-    /// thread).
+    /// Live job-watchdog threads of this process (Linux: one
+    /// /proc/self/task entry per thread, its `comm` the thread name cut to
+    /// 15 bytes). Counting only watchdogs keeps the threads of tests
+    /// running in parallel out of the count.
     #[cfg(target_os = "linux")]
-    fn thread_count() -> usize {
+    fn watchdog_thread_count() -> usize {
         std::fs::read_dir("/proc/self/task")
             .expect("procfs available on linux")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.trim_end() == "batch-job-watch")
             .count()
     }
 
@@ -1228,7 +1242,7 @@ mod tests {
         // were dropped without joining, leaking one sleeping thread per
         // completed job for the life of the process. They must now be
         // joined before the batch returns.
-        let baseline = thread_count();
+        let baseline = watchdog_thread_count();
         let mut batch: Batch<usize> = Batch::new(21);
         batch.set_job_budget(Duration::from_secs(120));
         for i in 0..24usize {
@@ -1237,7 +1251,7 @@ mod tests {
         let entries = batch.run_outcomes(4);
         assert_eq!(entries.len(), 24);
         assert!(entries.iter().all(|e| !e.value.is_failed()));
-        let after = thread_count();
+        let after = watchdog_thread_count();
         assert!(
             after <= baseline + 1,
             "watchdog threads leaked: {baseline} before, {after} after 24 budgeted jobs"
@@ -1456,6 +1470,26 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"open", "{\"a\":1}x"] {
             assert!(json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(json::parse(&nested(json::MAX_DEPTH, "[", "]")).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH, "{\"k\":", "}")).is_ok());
+        for too_deep in [
+            nested(json::MAX_DEPTH + 1, "[", "]"),
+            nested(json::MAX_DEPTH + 1, "{\"k\":", "}"),
+        ] {
+            let err = json::parse(&too_deep).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
+        // 100 KB of `[` used to recurse once per byte and overflow the
+        // stack; it must now fail fast with an error.
+        let err = json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod harness;
 pub mod metrics;
 pub mod par;
 pub mod perf;
+mod reception;
 pub mod regime;
 pub mod scenario;
 pub mod trace;

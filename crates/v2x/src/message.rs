@@ -89,6 +89,13 @@ impl Payload {
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(&self.0)
     }
+
+    /// Identity of the shared allocation: equal for handles cloned from
+    /// one another, distinct for any two live allocations — even when
+    /// their bytes are equal. Only meaningful while the payload is alive.
+    pub fn alloc_id(&self) -> usize {
+        Arc::as_ptr(&self.0) as *const u8 as usize
+    }
 }
 
 impl std::ops::Deref for Payload {
@@ -215,6 +222,16 @@ mod tests {
             payload: Vec::<u8>::new().into(),
         };
         f.airtime(0.0);
+    }
+
+    #[test]
+    fn alloc_id_tracks_the_allocation_not_the_bytes() {
+        let a = Payload::from(vec![1u8, 2, 3]);
+        let shared = a.clone();
+        let copy = Payload::from(a.as_slice());
+        assert_eq!(a.alloc_id(), shared.alloc_id());
+        assert_ne!(a.alloc_id(), copy.alloc_id());
+        assert_eq!(a, copy, "equality and hashing stay by content");
     }
 
     #[test]
