@@ -14,7 +14,13 @@
 //!
 //! Only *successful* results are cached; failures stay ephemeral (a panic
 //! or timeout says nothing deterministic about the spec).
+//!
+//! A persisted entry is one header line naming its key and the FNV-1a
+//! digest of the document, then the document bytes. Loading fails closed:
+//! an entry whose header is missing or wrong, or whose document is not
+//! UTF-8, is deleted and counted in [`CacheStats::rejected`], never served.
 
+use crate::job::fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -53,6 +59,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Documents loaded from the on-disk store at startup.
     pub loaded: u64,
+    /// On-disk entries deleted at startup because they failed
+    /// verification (corrupt, torn, foreign or not UTF-8).
+    pub rejected: u64,
 }
 
 /// The LRU result cache. Not internally synchronised — the service wraps
@@ -79,6 +88,27 @@ fn temp_file(key: u64) -> String {
     format!("{}.{}.tmp", entry_file(key), std::process::id())
 }
 
+/// The header line of a persisted entry for `key` holding `document`.
+/// FNV-1a maps any single changed byte to a different digest: each step
+/// `h -> (h ^ b) * prime` is a bijection of `h` for a fixed byte `b`.
+fn entry_header(key: u64, document: &[u8]) -> String {
+    format!(
+        "platoon-cache-entry v1 key={key:016x} fnv1a={:016x}\n",
+        fnv1a(document)
+    )
+}
+
+/// The document of a persisted entry file, or `None` if the file fails
+/// verification against its header.
+fn verify_entry(key: u64, bytes: &[u8]) -> Option<&str> {
+    let split = bytes.iter().position(|&b| b == b'\n')? + 1;
+    let (header, document) = bytes.split_at(split);
+    if header != entry_header(key, document).as_bytes() {
+        return None;
+    }
+    std::str::from_utf8(document).ok()
+}
+
 /// Parses a `{key:016x}.json` file name back to its key.
 fn parse_entry_file(name: &str) -> Option<u64> {
     let hex = name.strip_suffix(".json")?;
@@ -92,7 +122,8 @@ impl ResultCache {
     /// Opens the cache; with a store directory set, creates it if missing
     /// and loads every persisted entry (sorted by file name, so the
     /// initial recency order is deterministic). Unparseable file names are
-    /// ignored; unreadable files are errors.
+    /// ignored; entries that fail verification are deleted and counted as
+    /// rejected; directory and read errors are errors.
     pub fn open(config: CacheConfig) -> std::io::Result<ResultCache> {
         let mut cache = ResultCache {
             config,
@@ -113,9 +144,19 @@ impl ResultCache {
             }
             names.sort_by_key(|(key, _)| *key);
             for (key, path) in names {
-                let text = std::fs::read_to_string(&path)?;
-                cache.attach(key, Arc::from(text.as_str()));
-                cache.stats.loaded += 1;
+                let bytes = std::fs::read(&path)?;
+                match verify_entry(key, &bytes) {
+                    Some(document) => {
+                        cache.attach(key, Arc::from(document));
+                        cache.stats.loaded += 1;
+                    }
+                    None => {
+                        // Best effort: an entry left in place is rejected
+                        // again on the next load.
+                        let _ = std::fs::remove_file(&path);
+                        cache.stats.rejected += 1;
+                    }
+                }
             }
             // The store may have been written under a larger budget.
             cache.evict_over_budget();
@@ -158,6 +199,7 @@ impl ResultCache {
             // which only costs a recomputation).
             let temp = dir.join(temp_file(key));
             let mut file = std::fs::File::create(&temp)?;
+            file.write_all(entry_header(key, document.as_bytes()).as_bytes())?;
             file.write_all(document.as_bytes())?;
             file.sync_all()?;
             std::fs::rename(&temp, dir.join(entry_file(key)))?;
@@ -280,20 +322,22 @@ mod tests {
         assert!(c.get(2).is_some());
     }
 
+    /// A fresh store directory for one test.
+    fn store(name: &str) -> (PathBuf, CacheConfig) {
+        let dir =
+            std::env::temp_dir().join(format!("platoon-cache-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CacheConfig {
+            max_bytes: 1024,
+            dir: Some(dir.clone()),
+        };
+        (dir, config)
+    }
+
     #[test]
     fn persisted_entries_leave_no_temp_files_and_leftovers_are_ignored() {
-        let dir = std::env::temp_dir().join(format!(
-            "platoon-cache-unit-{}-temp-files",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let open = || {
-            ResultCache::open(CacheConfig {
-                max_bytes: 1024,
-                dir: Some(dir.clone()),
-            })
-            .expect("disk cache opens")
-        };
+        let (dir, config) = store("temp-files");
+        let open = || ResultCache::open(config.clone()).expect("disk cache opens");
         let mut c = open();
         c.insert(7, "{\"whole\": true}").unwrap();
         let names = || -> Vec<String> {
@@ -312,6 +356,57 @@ mod tests {
         assert_eq!(reloaded.stats().loaded, 1, "only the complete entry loads");
         assert_eq!(reloaded.get(8), None, "the torn document is not a hit");
         assert_eq!(reloaded.get(7).as_deref(), Some("{\"whole\": true}"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_byte_is_rejected_and_deleted() {
+        let (dir, config) = store("flipped-byte");
+        let document = "{\"speed\": 25.0}";
+        ResultCache::open(config.clone())
+            .unwrap()
+            .insert(3, document)
+            .unwrap();
+        let path = dir.join(entry_file(3));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x01; // "25.0" becomes "25.1"
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut reloaded = ResultCache::open(config.clone()).expect("store opens");
+        assert_eq!(reloaded.stats().loaded, 0);
+        assert_eq!(reloaded.stats().rejected, 1);
+        assert_eq!(reloaded.get(3), None, "a corrupt entry is a miss");
+        assert!(!path.exists(), "the corrupt entry is deleted");
+
+        // An intact entry still round-trips byte for byte.
+        reloaded.insert(3, document).unwrap();
+        let mut again = ResultCache::open(config).unwrap();
+        assert_eq!(again.stats().rejected, 0);
+        assert_eq!(again.get(3).as_deref(), Some(document));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn invalid_utf8_and_headerless_entries_do_not_stop_the_store() {
+        let (dir, config) = store("invalid-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(entry_file(1)), [0xff, 0xfe, b'{', b'}']).unwrap();
+        std::fs::write(dir.join(entry_file(2)), "{\"no\": \"header\"}").unwrap();
+        // A verified header over a document that is not UTF-8.
+        let mut bad_text = entry_header(4, &[0xc3, 0x28]).into_bytes();
+        bad_text.extend([0xc3, 0x28]);
+        std::fs::write(dir.join(entry_file(4)), bad_text).unwrap();
+        // A valid entry for key 5 renamed to key 6.
+        let moved = format!("{}{{}}", entry_header(5, b"{}"));
+        std::fs::write(dir.join(entry_file(6)), moved).unwrap();
+
+        let mut c = ResultCache::open(config).expect("store opens");
+        assert_eq!(c.stats().rejected, 4);
+        assert_eq!(c.stats().loaded, 0);
+        for key in [1, 2, 4, 6] {
+            assert_eq!(c.get(key), None);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

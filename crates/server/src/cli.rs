@@ -163,7 +163,7 @@ pub fn serve_cli_main(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let loaded = service.snapshot().cache.loaded;
+    let cache = service.snapshot().cache;
     let server = match NetServer::spawn(Arc::clone(&service), &addr) {
         Ok(server) => server,
         Err(e) => {
@@ -176,9 +176,10 @@ pub fn serve_cli_main(args: &[String]) -> i32 {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "{CODE_VERSION} serving on {} ({} cached result(s) loaded); send {{\"type\": \"shutdown\"}} to stop",
+        "{CODE_VERSION} serving on {} ({} cached result(s) loaded, {} rejected); send {{\"type\": \"shutdown\"}} to stop",
         server.addr(),
-        loaded
+        cache.loaded,
+        cache.rejected
     );
     server.join();
     eprintln!("server stopped");

@@ -300,6 +300,7 @@ pub fn stats_line(snapshot: &ServiceSnapshot) -> String {
         w.field_u64("cache_insertions", snapshot.cache.insertions);
         w.field_u64("cache_evictions", snapshot.cache.evictions);
         w.field_u64("cache_loaded", snapshot.cache.loaded);
+        w.field_u64("cache_rejected", snapshot.cache.rejected);
         w.field_u64("cache_entries", snapshot.cache_entries as u64);
         w.field_u64("cache_bytes", snapshot.cache_bytes as u64);
     });

@@ -82,13 +82,46 @@ impl DsrcPhy {
             .max(1.0)
     }
 
+    /// The receiver noise floor in both units, for callers that test many
+    /// signals against it.
+    pub(crate) fn noise(&self) -> NoiseFloor {
+        let mw = dbm_to_mw(self.noise_floor_dbm);
+        NoiseFloor {
+            mw,
+            dbm: mw_to_dbm(mw),
+        }
+    }
+
     /// Whether a signal at `signal_dbm` decodes against `interference_mw`
     /// milliwatts of co-channel interference.
     pub fn decodes(&self, signal_dbm: f64, interference_mw: f64) -> bool {
-        let noise_mw = dbm_to_mw(self.noise_floor_dbm);
-        let sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw);
-        sinr_db >= self.sinr_threshold_db
+        self.decodes_over(self.noise(), signal_dbm, interference_mw)
     }
+
+    /// [`Self::decodes`] against a precomputed [`Self::noise`]. Without
+    /// interference the floor is `noise.dbm`, which is bit-identical to
+    /// `mw_to_dbm(noise.mw + 0.0)`, so the log is skipped exactly.
+    pub(crate) fn decodes_over(
+        &self,
+        noise: NoiseFloor,
+        signal_dbm: f64,
+        interference_mw: f64,
+    ) -> bool {
+        let floor_dbm = if interference_mw == 0.0 {
+            noise.dbm
+        } else {
+            mw_to_dbm(noise.mw + interference_mw)
+        };
+        signal_dbm - floor_dbm >= self.sinr_threshold_db
+    }
+}
+
+/// A PHY's noise floor in milliwatts and in dBm (the dBm value is the
+/// round trip of the milliwatts, as an SINR sum would see it).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NoiseFloor {
+    mw: f64,
+    dbm: f64,
 }
 
 /// Converts dBm to milliwatts.
@@ -254,6 +287,24 @@ mod tests {
         // Interference 30 dB above the noise floor.
         let strong_interference = dbm_to_mw(phy.noise_floor_dbm + 40.0);
         assert!(!phy.decodes(signal, strong_interference));
+    }
+
+    #[test]
+    fn precomputed_noise_decides_like_the_direct_sinr_formula() {
+        let phy = DsrcPhy::default();
+        let noise = phy.noise();
+        for interference_mw in [0.0, 1e-13, 1e-10, 1e-7] {
+            let floor = mw_to_dbm(dbm_to_mw(phy.noise_floor_dbm) + interference_mw);
+            let edge = floor + phy.sinr_threshold_db;
+            // The exact threshold and its neighbouring floats.
+            for signal_dbm in [edge, f64::from_bits(edge.to_bits() - 1), edge + 1e-12] {
+                assert_eq!(
+                    phy.decodes_over(noise, signal_dbm, interference_mw),
+                    signal_dbm - floor >= phy.sinr_threshold_db,
+                    "signal {signal_dbm} interference {interference_mw}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,17 +7,20 @@
 //! 1. Each frame draws a random contention offset within the step.
 //! 2. Senders that can carrier-sense an earlier, in-progress transmission
 //!    defer until it ends (CSMA serialisation).
-//! 3. For every (frame, receiver) pair, the received power is sampled from
-//!    the fading channel; the interference budget sums all *temporally
-//!    overlapping* frames (hidden terminals that escaped carrier sensing)
-//!    and all active jammers; the frame decodes iff SINR clears the PHY
-//!    threshold.
+//! 3. Each frame's interferers are found once: the other frames on its
+//!    channel whose airtime overlaps it (hidden terminals that escaped
+//!    carrier sensing), by a sort on start time and a forward sweep.
+//! 4. For every (frame, receiver) pair, the received power is sampled from
+//!    the fading channel; the interference budget sums the frame's
+//!    interferers in range of the receiver and all active jammers; the
+//!    frame decodes iff SINR clears the PHY threshold, against a noise
+//!    floor computed once per step.
 //!
 //! VLC frames bypass all of this and use the geometric optical link; C-V2X
 //! frames use deterministic semi-persistent slots (no contention) but share
 //! the fading channel and can be jammed by a C-V2X-targeting jammer.
 
-use crate::channel::{dbm_to_mw, DsrcPhy};
+use crate::channel::{dbm_to_mw, DsrcPhy, NoiseFloor};
 use crate::jamming::Jammer;
 use crate::message::{distance, ChannelKind, Delivery, Frame, NodeId, Position};
 use crate::spatial::SpatialGrid;
@@ -129,42 +132,36 @@ impl RadioMedium {
             .filter(|f| f.channel == ChannelKind::CV2x)
             .collect();
 
-        // With a finite radio horizon, index receiver positions once and
-        // frame origins per channel so delivery becomes range queries.
+        // With a finite radio horizon, index receiver positions once so
+        // delivery becomes range queries.
         let rx_grid = self.radio_horizon_m.is_finite().then(|| {
             let positions: Vec<Position> = receivers.iter().map(|r| r.position).collect();
             SpatialGrid::build(self.grid_cell(), &positions)
         });
+        let noise = self.dsrc.noise();
 
         let scheduled = self.schedule_csma(&dsrc_frames, rng);
-        let frame_grid = rx_grid.as_ref().map(|_| self.frame_grid(&scheduled));
-        self.deliver_rf(
-            now,
-            ChannelKind::Dsrc,
-            &scheduled,
-            receivers,
-            jammers,
-            traffic_on_air,
-            rx_grid.as_ref().zip(frame_grid.as_ref()),
-            &mut deliveries,
-            &mut stats,
-            rng,
-        );
-
         let cv2x_scheduled = self.schedule_sps(&cv2x_frames);
-        let cv2x_frame_grid = rx_grid.as_ref().map(|_| self.frame_grid(&cv2x_scheduled));
-        self.deliver_rf(
-            now,
-            ChannelKind::CV2x,
-            &cv2x_scheduled,
-            receivers,
-            jammers,
-            traffic_on_air,
-            rx_grid.as_ref().zip(cv2x_frame_grid.as_ref()),
-            &mut deliveries,
-            &mut stats,
-            rng,
-        );
+        for (channel, scheduled) in [
+            (ChannelKind::Dsrc, scheduled),
+            (ChannelKind::CV2x, cv2x_scheduled),
+        ] {
+            let jammers: Vec<&Jammer> = jammers
+                .iter()
+                .filter(|jam| jam.target == channel && jam.is_active(now, traffic_on_air))
+                .collect();
+            self.deliver_rf(
+                channel,
+                &scheduled,
+                receivers,
+                &jammers,
+                noise,
+                rx_grid.as_ref(),
+                &mut deliveries,
+                &mut stats,
+                rng,
+            );
+        }
 
         for frame in vlc_frames {
             for rx in receivers {
@@ -194,12 +191,6 @@ impl RadioMedium {
     /// cell, so a radius-`horizon` query touches at most a 3×3 block.
     fn grid_cell(&self) -> f64 {
         self.radio_horizon_m.max(1.0)
-    }
-
-    /// Grid over scheduled frame origins (for interference range queries).
-    fn frame_grid(&self, scheduled: &[ScheduledFrame]) -> SpatialGrid {
-        let origins: Vec<Position> = scheduled.iter().map(|s| s.frame.origin).collect();
-        SpatialGrid::build(self.grid_cell(), &origins)
     }
 
     /// CSMA/CA-lite: random contention offsets, then defer to any earlier
@@ -300,50 +291,45 @@ impl RadioMedium {
 
     /// Samples reception for every (frame, receiver) pair.
     ///
-    /// `index` (receiver grid + frame-origin grid) is `Some` iff the radio
-    /// horizon is finite. The indexed path visits, in ascending index order,
-    /// exactly the receivers within one horizon of the frame origin and the
-    /// interferer frames within two horizons (by the triangle inequality a
-    /// superset of "within one horizon of any candidate receiver"), then
-    /// applies the exact per-pair predicates. Because candidate order is
-    /// ascending — never bucket order — the rng draw sequence and the
-    /// floating-point interference sums match the all-pairs scan whenever
-    /// the horizon covers the geometry.
+    /// `rx_grid` is `Some` iff the radio horizon is finite; it yields, in
+    /// ascending index order, exactly the receivers within one horizon of
+    /// the frame origin. Each receiver sums the frame's [`interferers`]
+    /// (found once per frame, in ascending index order) that lie within
+    /// one horizon of it, plus the `jammers` already found active on this
+    /// channel. Scan mode walks every receiver and every overlapping frame
+    /// through the same loop. Because every candidate order is ascending —
+    /// never bucket order — the rng draw sequence and the floating-point
+    /// interference sums match the all-pairs scan whenever the horizon
+    /// covers the geometry.
     #[allow(clippy::too_many_arguments)]
     fn deliver_rf<R: Rng + ?Sized>(
         &self,
-        now: f64,
         channel: ChannelKind,
         scheduled: &[ScheduledFrame],
         receivers: &[Receiver],
-        jammers: &[Jammer],
-        traffic_on_air: bool,
-        index: Option<(&SpatialGrid, &SpatialGrid)>,
+        jammers: &[&Jammer],
+        noise: NoiseFloor,
+        rx_grid: Option<&SpatialGrid>,
         deliveries: &mut Vec<Delivery>,
         stats: &mut StepStats,
         rng: &mut R,
     ) {
         let horizon = self.radio_horizon_m;
-        // Scan mode: fixed full candidate lists, identical to iterating the
-        // receiver and frame slices directly.
-        let (all_rx, all_frames): (Vec<u32>, Vec<u32>) = if index.is_none() {
-            (
-                (0..receivers.len() as u32).collect(),
-                (0..scheduled.len() as u32).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
+        let overlapping = interferers(scheduled, horizon);
+        // Scan mode: a fixed full candidate list, identical to iterating
+        // the receiver slice directly.
+        let all_rx: Vec<u32> = match rx_grid {
+            Some(_) => Vec::new(),
+            None => (0..receivers.len() as u32).collect(),
         };
         let mut rx_cand: Vec<u32> = Vec::new();
-        let mut near_frames: Vec<u32> = Vec::new();
         for (i, sf) in scheduled.iter().enumerate() {
-            let (rx_list, frame_list): (&[u32], &[u32]) = match index {
-                Some((rx_grid, frame_grid)) => {
-                    rx_grid.query_within(sf.frame.origin, horizon, &mut rx_cand);
-                    frame_grid.query_within(sf.frame.origin, 2.0 * horizon, &mut near_frames);
-                    (&rx_cand, &near_frames)
+            let rx_list: &[u32] = match rx_grid {
+                Some(grid) => {
+                    grid.query_within(sf.frame.origin, horizon, &mut rx_cand);
+                    &rx_cand
                 }
-                None => (&all_rx, &all_frames),
+                None => &all_rx,
             };
             for &r in rx_list {
                 let rx = &receivers[r as usize];
@@ -357,33 +343,24 @@ impl RadioMedium {
                 // Interference: temporally overlapping frames on the same
                 // channel (hidden terminals) plus jammers targeting it.
                 let mut interference_mw = 0.0;
-                for &j in frame_list {
-                    let j = j as usize;
-                    if i == j {
+                for &j in &overlapping[i] {
+                    let other = &scheduled[j as usize];
+                    let dj = distance(other.frame.origin, rx.position);
+                    // Beyond the horizon an interferer is out of range of
+                    // the receiver by model definition; NaN distances count
+                    // as out of range, like `deliver`.
+                    let in_horizon = dj <= horizon;
+                    if rx_grid.is_some() && !in_horizon {
                         continue;
                     }
-                    let other = &scheduled[j];
-                    let overlap = sf.start < other.end && other.start < sf.end;
-                    if overlap {
-                        let dj = distance(other.frame.origin, rx.position);
-                        // NaN distances count as out of range, like `deliver`.
-                        let in_horizon = dj <= horizon;
-                        if index.is_some() && !in_horizon {
-                            // Beyond the horizon this interferer is out of
-                            // range of the receiver by model definition.
-                            continue;
-                        }
-                        interference_mw +=
-                            dbm_to_mw(self.dsrc.median_rx_power_dbm(other.frame.power_dbm, dj));
-                    }
+                    interference_mw +=
+                        dbm_to_mw(self.dsrc.median_rx_power_dbm(other.frame.power_dbm, dj));
                 }
                 for jam in jammers {
-                    if jam.target == channel && jam.is_active(now, traffic_on_air) {
-                        interference_mw += jam.interference_mw(&self.dsrc, rx.position);
-                    }
+                    interference_mw += jam.interference_mw(&self.dsrc, rx.position);
                 }
 
-                if self.dsrc.decodes(signal_dbm, interference_mw) {
+                if self.dsrc.decodes_over(noise, signal_dbm, interference_mw) {
                     deliveries.push(Delivery {
                         sender: sf.frame.sender,
                         receiver: rx.id,
@@ -399,6 +376,49 @@ impl RadioMedium {
             }
         }
     }
+}
+
+/// Per scheduled frame, the other frames on its channel that can interfere
+/// with it: those whose airtime overlaps it and, under a finite horizon,
+/// whose origin lies within two horizons of its origin (a receiver within
+/// one horizon of both is possible only then). Each list is in ascending
+/// frame index order, so interference sums add the same terms in the same
+/// order as a walk over every frame.
+///
+/// One sort by start and a forward sweep from each frame, which stops at
+/// the first frame starting at or after its end, find every overlapping
+/// pair; only frames that overlap in time are ever compared.
+fn interferers(scheduled: &[ScheduledFrame], horizon: f64) -> Vec<Vec<u32>> {
+    let mut by_start: Vec<u32> = (0..scheduled.len() as u32).collect();
+    by_start.sort_unstable_by(|&a, &b| {
+        scheduled[a as usize]
+            .start
+            .total_cmp(&scheduled[b as usize].start)
+    });
+    let mut lists = vec![Vec::new(); scheduled.len()];
+    for (k, &a) in by_start.iter().enumerate() {
+        let fa = &scheduled[a as usize];
+        for &b in &by_start[k + 1..] {
+            let fb = &scheduled[b as usize];
+            if fb.start >= fa.end {
+                break;
+            }
+            let overlap = fa.start < fb.end && fb.start < fa.end;
+            // `distance` is symmetric bit for bit, so one test decides
+            // both lists. A NaN origin fails it; scan mode keeps such
+            // frames, as a walk over every frame does.
+            let near =
+                !horizon.is_finite() || distance(fb.frame.origin, fa.frame.origin) <= 2.0 * horizon;
+            if overlap && near {
+                lists[a as usize].push(b);
+                lists[b as usize].push(a);
+            }
+        }
+    }
+    for list in &mut lists {
+        list.sort_unstable();
+    }
+    lists
 }
 
 #[cfg(test)]
@@ -664,6 +684,73 @@ mod tests {
         // The near cluster is fully inside the horizon: 6 frames × 5 peers.
         assert_eq!(s_idx.pairs_considered, 30);
         assert_eq!(s_scan.pairs_considered, 6 * 11);
+    }
+
+    /// Reference: every other frame that overlaps frame `i` in time and,
+    /// under a finite horizon, starts within two horizons of it.
+    fn brute_force_interferers(sched: &[ScheduledFrame], horizon: f64) -> Vec<Vec<u32>> {
+        (0..sched.len())
+            .map(|i| {
+                let a = &sched[i];
+                (0..sched.len())
+                    .filter(|&j| {
+                        let b = &sched[j];
+                        j != i
+                            && a.start < b.end
+                            && b.start < a.end
+                            && (!horizon.is_finite()
+                                || distance(b.frame.origin, a.frame.origin) <= 2.0 * horizon)
+                    })
+                    .map(|j| j as u32)
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The sweep finds exactly the brute-force interferers in
+        /// ascending order, on schedules with tied starts, zero airtime,
+        /// shared origins and NaN origins.
+        #[test]
+        fn interferer_lists_equal_brute_force(
+            spans in proptest::collection::vec(
+                (
+                    0u32..12,
+                    proptest::prop_oneof![
+                        proptest::prelude::Just(0.0),
+                        proptest::prelude::Just(1.0),
+                        0.0f64..4.0,
+                    ],
+                    proptest::prop_oneof![
+                        proptest::prelude::Just((0.0, 0.0)),
+                        proptest::prelude::Just((f64::NAN, 0.0)),
+                        (-1500.0f64..1500.0, -10.0f64..10.0),
+                    ],
+                ),
+                0..40,
+            ),
+            horizon in proptest::prop_oneof![
+                proptest::prelude::Just(f64::INFINITY),
+                1.0f64..800.0,
+            ],
+        ) {
+            let sched: Vec<ScheduledFrame> = spans
+                .iter()
+                .enumerate()
+                .map(|(k, &(slot, airtime, origin))| ScheduledFrame {
+                    frame: Frame {
+                        origin,
+                        ..frame(k as u64, 0.0, ChannelKind::Dsrc)
+                    },
+                    start: f64::from(slot) * 0.5,
+                    end: f64::from(slot) * 0.5 + airtime,
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                interferers(&sched, horizon),
+                brute_force_interferers(&sched, horizon)
+            );
+        }
     }
 
     #[test]
