@@ -25,6 +25,17 @@ use platoon_sim::harness::json;
 /// Leading magic bytes of every shard.
 pub const MAGIC: &[u8; 8] = b"PLTDSET1";
 
+/// Body bytes per row: the f32 features, the u32 cell index, the label.
+const ROW_BYTES: usize = 4 * NUM_FEATURES + 4 + 1;
+
+/// A header row count: a finite, non-negative integer that fits `usize`.
+fn row_count(value: Option<&json::Value>) -> Option<usize> {
+    let n = value?.as_f64()?;
+    // 2^64 is the first float past `usize::MAX` on 64-bit targets.
+    let fits = n >= 0.0 && n.fract() == 0.0 && n < usize::MAX as f64;
+    fits.then_some(n as usize)
+}
+
 /// FNV-1a over a byte stream — the same digest family the job server's
 /// content-addressed cache keys use.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -102,9 +113,7 @@ impl Shard {
             });
         });
         let header = w.finish();
-        let mut out = Vec::with_capacity(
-            MAGIC.len() + 4 + header.len() + rows * (4 * NUM_FEATURES + 4 + 1) + 8,
-        );
+        let mut out = Vec::with_capacity(MAGIC.len() + 4 + header.len() + rows * ROW_BYTES + 8);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(header.len() as u32).to_le_bytes());
         out.extend_from_slice(header.as_bytes());
@@ -165,11 +174,12 @@ impl Shard {
             Some(json::Value::Arr(cells)) => cells,
             _ => return Err("header missing cells".into()),
         };
-        let total_rows = header
-            .get("rows")
-            .and_then(|v| v.as_f64())
-            .ok_or("header missing rows")? as usize;
-        let mut cells: Vec<CellBlock> = Vec::with_capacity(cells_meta.len());
+        // The digest is unkeyed, so every count below may be forged: check
+        // them all against the body length before allocating any rows.
+        let total_rows =
+            row_count(header.get("rows")).ok_or("header rows missing or not a row count")?;
+        let mut metas = Vec::with_capacity(cells_meta.len());
+        let mut cell_rows = 0usize;
         for meta in cells_meta {
             let label = match meta.get("label") {
                 Some(json::Value::Str(s)) => s.clone(),
@@ -179,27 +189,33 @@ impl Shard {
                 .get("seed")
                 .and_then(|v| v.as_f64())
                 .ok_or("cell missing seed")?;
-            let rows = meta
-                .get("rows")
-                .and_then(|v| v.as_f64())
-                .ok_or("cell missing rows")?;
-            cells.push(CellBlock {
-                label,
-                seed: seed as u64,
-                features: vec![[0.0; NUM_FEATURES]; rows as usize],
-                labels: vec![0; rows as usize],
-            });
+            let rows = row_count(meta.get("rows")).ok_or("cell rows missing or not a row count")?;
+            cell_rows = cell_rows
+                .checked_add(rows)
+                .ok_or("cell row counts overflow")?;
+            metas.push((label, seed, rows));
         }
-        if cells.iter().map(|c| c.features.len()).sum::<usize>() != total_rows {
+        if cell_rows != total_rows {
             return Err("cell row counts do not sum to the header total".into());
         }
-        let payload = total_rows * (4 * NUM_FEATURES + 4 + 1);
+        let payload = total_rows
+            .checked_mul(ROW_BYTES)
+            .ok_or("row count overflows the payload size")?;
         if body.len() != pos + payload {
             return Err(format!(
                 "payload size mismatch: have {}, expected {payload}",
                 body.len() - pos
             ));
         }
+        let mut cells: Vec<CellBlock> = metas
+            .into_iter()
+            .map(|(label, seed, rows)| CellBlock {
+                label,
+                seed: seed as u64,
+                features: vec![[0.0; NUM_FEATURES]; rows],
+                labels: vec![0; rows],
+            })
+            .collect();
         for col in 0..NUM_FEATURES {
             for cell in &mut cells {
                 for row in &mut cell.features {
@@ -276,6 +292,83 @@ mod tests {
         bytes[mid] ^= 0x40;
         let err = Shard::decode(&bytes).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
+    }
+
+    /// Re-seals a (tampered) body with a correct digest, as anyone can:
+    /// FNV-1a is unkeyed.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        let digest = fnv1a(&body);
+        body.extend_from_slice(&digest.to_le_bytes());
+        body
+    }
+
+    /// A shard whose header is `header` and whose body holds nothing else.
+    fn forged(header: &str) -> Vec<u8> {
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        body.extend_from_slice(header.as_bytes());
+        reseal(body)
+    }
+
+    #[test]
+    fn forged_row_counts_are_rejected_before_allocating() {
+        let huge = r#"{"cells":[{"label":"x","seed":1,"rows":1e18}],"rows":1e18}"#;
+        let err = Shard::decode(&forged(huge)).unwrap_err();
+        assert!(err.contains("row count overflows"), "{err}");
+        for header in [
+            r#"{"cells":[{"label":"x","seed":1,"rows":1e12}],"rows":1e12}"#,
+            r#"{"cells":[{"label":"x","seed":1,"rows":1e300}],"rows":1e300}"#,
+            r#"{"cells":[{"label":"x","seed":1,"rows":-1}],"rows":-1}"#,
+            r#"{"cells":[{"label":"x","seed":1,"rows":0.5}],"rows":0.5}"#,
+            r#"{"cells":[{"label":"x","seed":1,"rows":9e18},{"label":"y","seed":2,"rows":9e18}],"rows":0}"#,
+            r#"{"cells":[{"label":"x","seed":1,"rows":1}],"rows":1}"#,
+        ] {
+            assert!(Shard::decode(&forged(header)).is_err(), "{header}");
+        }
+        let empty = r#"{"cells":[{"label":"x","seed":1,"rows":0}],"rows":0}"#;
+        assert_eq!(Shard::decode(&forged(empty)).unwrap().rows(), 0);
+    }
+
+    proptest::proptest! {
+        /// Truncated or byte-mutated shards whose digest was recomputed to
+        /// match decode to `Err` or `Ok`, never a panic.
+        #[test]
+        fn resealed_mutants_never_panic(
+            cut in 0usize..4096,
+            edits in proptest::collection::vec((0usize..4096, 1u8..255), 0..4),
+        ) {
+            let bytes = sample().encode();
+            let mut body = bytes[..bytes.len() - 8].to_vec();
+            body.truncate(cut.max(MAGIC.len()));
+            for &(at, mask) in &edits {
+                let i = at % body.len();
+                body[i] ^= mask;
+            }
+            let _ = Shard::decode(&reseal(body));
+        }
+
+        /// A header digit replaced by another number: row counts and
+        /// seeds that lie about the body, with a matching digest.
+        #[test]
+        fn resealed_header_numbers_never_panic(
+            at in 0usize..4096,
+            pick in 0usize..8,
+        ) {
+            const NUMBERS: [&str; 8] = ["0", "7", "99", "-1", "0.5", "1e12", "1e18", "1e400"];
+            let bytes = sample().encode();
+            let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+            let header = &bytes[12..12 + header_len];
+            let digits: Vec<usize> = (0..header_len).filter(|&k| header[k].is_ascii_digit()).collect();
+            let i = digits[at % digits.len()];
+            let mut text = header[..i].to_vec();
+            text.extend_from_slice(NUMBERS[pick].as_bytes());
+            text.extend_from_slice(&header[i + 1..]);
+            let mut body = MAGIC.to_vec();
+            body.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            body.extend_from_slice(&text);
+            body.extend_from_slice(&bytes[12 + header_len..bytes.len() - 8]);
+            let _ = Shard::decode(&reseal(body));
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@ use platoon_proto::envelope::Envelope;
 use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, RejectReason};
 use platoon_sim::world::World;
+use platoon_v2x::hash::IntMap;
 use platoon_v2x::message::Delivery;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Which freshness mechanism to run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -56,9 +56,9 @@ pub enum ReplayWindowKind {
 pub struct AntiReplayDefense {
     kind: ReplayWindowKind,
     /// Per-receiver timestamp windows (receivers do not share state).
-    ts_windows: HashMap<usize, TimestampWindow<PrincipalId>>,
+    ts_windows: IntMap<usize, TimestampWindow<PrincipalId>>,
     /// Per-receiver sequence windows.
-    seq_windows: HashMap<usize, SequenceWindow<PrincipalId>>,
+    seq_windows: IntMap<usize, SequenceWindow<PrincipalId>>,
     rejected: u64,
     accepted: u64,
 }
@@ -68,8 +68,8 @@ impl AntiReplayDefense {
     pub fn new(kind: ReplayWindowKind) -> Self {
         AntiReplayDefense {
             kind,
-            ts_windows: HashMap::new(),
-            seq_windows: HashMap::new(),
+            ts_windows: IntMap::default(),
+            seq_windows: IntMap::default(),
             rejected: 0,
             accepted: 0,
         }

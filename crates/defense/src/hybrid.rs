@@ -19,10 +19,10 @@ use platoon_crypto::sha256::Sha256;
 use platoon_proto::envelope::Envelope;
 use platoon_sim::defense::{Defense, RejectReason};
 use platoon_sim::world::World;
+use platoon_v2x::hash::IntMap;
 use platoon_v2x::message::{ChannelKind, Delivery};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Cross-channel validation policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,8 +77,11 @@ impl Default for HybridConfig {
 #[derive(Clone, Debug)]
 pub struct HybridConfirmDefense {
     config: HybridConfig,
-    /// (receiver, payload hash) → (first channel seen, time).
-    seen: HashMap<(usize, u64), (ChannelKind, f64)>,
+    /// (receiver, payload hash) → (first channel seen, time). An attacker
+    /// could grind payloads whose digests share bucket bits, but every
+    /// call that reaches the map first prunes it with a full pass, which
+    /// already costs what a collision chain would.
+    seen: IntMap<(usize, u64), (ChannelKind, f64)>,
     confirmed: u64,
     rejected: u64,
 }
@@ -88,7 +91,7 @@ impl HybridConfirmDefense {
     pub fn new(config: HybridConfig) -> Self {
         HybridConfirmDefense {
             config,
-            seen: HashMap::new(),
+            seen: IntMap::default(),
             confirmed: 0,
             rejected: 0,
         }

@@ -176,20 +176,20 @@ impl Envelope {
         PlatoonMessage::decode(&self.payload)
     }
 
-    /// Verifies a signed envelope against the trust anchor, returning the
-    /// inner message.
+    /// Checks a signed envelope's authenticator against the trust anchor
+    /// without parsing its body.
     ///
     /// # Errors
     ///
     /// [`AuthError::WrongScheme`] for non-signed envelopes; otherwise the
     /// first failing check among certificate validation, subject match and
     /// signature verification.
-    pub fn verify_signed(
+    pub fn check_signed(
         &self,
         authority_key: &PublicKey,
         authority_id: PrincipalId,
         now: f64,
-    ) -> Result<PlatoonMessage, AuthError> {
+    ) -> Result<(), AuthError> {
         let AuthScheme::Signed {
             signature,
             certificate,
@@ -208,12 +208,30 @@ impl Envelope {
         ) {
             return Err(AuthError::BadAuthenticator);
         }
+        Ok(())
+    }
+
+    /// Verifies a signed envelope against the trust anchor, returning the
+    /// inner message: [`Self::check_signed`], then the body, whose parse
+    /// failure is reported as [`AuthError::BadAuthenticator`].
+    pub fn verify_signed(
+        &self,
+        authority_key: &PublicKey,
+        authority_id: PrincipalId,
+        now: f64,
+    ) -> Result<PlatoonMessage, AuthError> {
+        self.check_signed(authority_key, authority_id, now)?;
         self.open_unverified()
             .map_err(|_| AuthError::BadAuthenticator)
     }
 
-    /// Verifies a group-MAC envelope, returning the inner message.
-    pub fn verify_mac(&self, key: &SymmetricKey) -> Result<PlatoonMessage, AuthError> {
+    /// Checks a group-MAC envelope's tag without parsing its body.
+    ///
+    /// # Errors
+    ///
+    /// [`AuthError::WrongScheme`] for envelopes without a group MAC,
+    /// [`AuthError::BadAuthenticator`] for a tag that does not verify.
+    pub fn check_mac(&self, key: &SymmetricKey) -> Result<(), AuthError> {
         let AuthScheme::GroupMac { tag } = &self.auth else {
             return Err(AuthError::WrongScheme);
         };
@@ -224,6 +242,14 @@ impl Envelope {
         ) {
             return Err(AuthError::BadAuthenticator);
         }
+        Ok(())
+    }
+
+    /// Verifies a group-MAC envelope, returning the inner message:
+    /// [`Self::check_mac`], then the body, whose parse failure is reported
+    /// as [`AuthError::BadAuthenticator`].
+    pub fn verify_mac(&self, key: &SymmetricKey) -> Result<PlatoonMessage, AuthError> {
+        self.check_mac(key)?;
         self.open_unverified()
             .map_err(|_| AuthError::BadAuthenticator)
     }
@@ -591,6 +617,119 @@ mod tests {
         let env = Envelope::sign(PrincipalId(7), &beacon(7), &signer, cert);
         let back = Envelope::decode(&env.encode()).unwrap();
         assert!(back.verify_signed(&ca.public(), ca.id(), 5.0).is_ok());
+    }
+
+    /// What `verify_*` must equal: the body-free check, then the
+    /// unverified parse, whose failure is reported as a bad authenticator.
+    fn check_then_open(
+        check: Result<(), AuthError>,
+        env: &Envelope,
+    ) -> Result<PlatoonMessage, AuthError> {
+        check.and_then(|()| {
+            env.open_unverified()
+                .map_err(|_| AuthError::BadAuthenticator)
+        })
+    }
+
+    /// Seals raw body bytes, which need not parse as a message, with a
+    /// valid group MAC and a valid signature.
+    fn sealed_bodies(
+        sender: PrincipalId,
+        body: &[u8],
+        key: &SymmetricKey,
+        signer: &Signer,
+        certificate: Certificate,
+    ) -> [Envelope; 2] {
+        let tag = hmac_sha256(key.as_bytes(), &mac_image(sender, body)).0;
+        let signature = signer.sign_deterministic(&sign_image(sender, body));
+        [
+            Envelope {
+                sender,
+                auth: AuthScheme::GroupMac { tag },
+                payload: body.to_vec(),
+            },
+            Envelope {
+                sender,
+                auth: AuthScheme::Signed {
+                    signature,
+                    certificate,
+                },
+                payload: body.to_vec(),
+            },
+        ]
+    }
+
+    #[test]
+    fn sealed_unparsable_body_passes_the_check_but_not_verification() {
+        let (ca, signer, cert) = setup();
+        let key = SymmetricKey::derive(b"group", "mac");
+        let [mac, signed] = sealed_bodies(PrincipalId(7), &[0xFF; 3], &key, &signer, cert);
+        assert_eq!(mac.check_mac(&key), Ok(()));
+        assert_eq!(mac.verify_mac(&key), Err(AuthError::BadAuthenticator));
+        assert_eq!(signed.check_signed(&ca.public(), ca.id(), 5.0), Ok(()));
+        assert_eq!(
+            signed.verify_signed(&ca.public(), ca.id(), 5.0),
+            Err(AuthError::BadAuthenticator)
+        );
+    }
+
+    proptest::proptest! {
+        /// `verify_mac`/`verify_signed` equal their split form on valid
+        /// envelopes of every scheme, on sealed bodies that do not parse,
+        /// and after any single-byte flip of the wire image — which covers
+        /// the sender, payload, tag, signature and certificate fields.
+        #[test]
+        fn verify_equals_check_then_open(
+            seq in 0u64..1_000_000,
+            position in -1e4f64..1e4,
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+            flips in proptest::collection::vec(0usize..4096, 6..7),
+            bit in 0u32..8,
+            now in 0.0f64..2000.0,
+        ) {
+            let (ca, signer, cert) = setup();
+            let key = SymmetricKey::derive(b"group", "mac");
+            let wrong = SymmetricKey::derive(b"other", "mac");
+            let PlatoonMessage::Beacon(base) = beacon(7) else {
+                unreachable!()
+            };
+            let msg = PlatoonMessage::Beacon(Beacon { seq, position, ..base });
+            let mut envs = vec![
+                Envelope::plain(PrincipalId(7), &msg),
+                Envelope::mac(PrincipalId(7), &msg, &key),
+                Envelope::seal_encrypted(PrincipalId(7), &msg, &key, seq),
+                Envelope::sign(PrincipalId(7), &msg, &signer, cert),
+            ];
+            envs.extend(sealed_bodies(PrincipalId(7), &body, &key, &signer, cert));
+            let mut checked = 0;
+            for env in &envs {
+                let wire = env.encode();
+                let mut cases = vec![env.clone()];
+                for &at in &flips {
+                    let mut flipped = wire.clone();
+                    flipped[at % wire.len()] ^= 1 << bit;
+                    cases.extend(Envelope::decode(&flipped).ok());
+                }
+                for case in &cases {
+                    for k in [&key, &wrong] {
+                        proptest::prop_assert_eq!(
+                            case.verify_mac(k),
+                            check_then_open(case.check_mac(k), case)
+                        );
+                    }
+                    for at in [now, 5.0] {
+                        proptest::prop_assert_eq!(
+                            case.verify_signed(&ca.public(), ca.id(), at),
+                            check_then_open(case.check_signed(&ca.public(), ca.id(), at), case)
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+            proptest::prop_assert!(checked > envs.len(), "some flipped images decode");
+            proptest::prop_assert_eq!(envs[1].verify_mac(&key), Ok(msg.clone()));
+            proptest::prop_assert_eq!(envs[3].verify_signed(&ca.public(), ca.id(), 5.0), Ok(msg));
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use crate::membership::{Roster, RosterError};
 use crate::messages::{JoinReject, PlatoonId};
 use platoon_crypto::cert::PrincipalId;
+use platoon_v2x::hash::IntMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tunable limits of the manoeuvre engine.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -94,7 +94,7 @@ pub struct ManeuverStats {
 pub struct ManeuverEngine {
     roster: Roster,
     config: ManeuverConfig,
-    pending: HashMap<PrincipalId, PendingJoin>,
+    pending: IntMap<PrincipalId, PendingJoin>,
     stats: ManeuverStats,
     /// Request-processing tokens (token bucket for rate limiting).
     tokens: f64,
@@ -107,7 +107,7 @@ impl ManeuverEngine {
         ManeuverEngine {
             roster,
             config,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             stats: ManeuverStats::default(),
             tokens: config.max_requests_per_second,
             last_refill: 0.0,

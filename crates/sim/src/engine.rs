@@ -24,7 +24,7 @@ use crate::fault::Fault;
 use crate::metrics::{score_alerts, DetectionSummary, MetricsCollector, RunSummary, TruthLabels};
 use crate::par;
 use crate::perf::PerfCounters;
-use crate::reception::{FrameTable, IntSet};
+use crate::reception::FrameTable;
 use crate::regime::{steps_for, RegimeState};
 use crate::scenario::{AuthMode, CommsMode, ControllerKind, Scenario};
 use crate::trace::{TraceDetail, TracePhase, TraceRecord, Tracer};
@@ -52,12 +52,12 @@ use platoon_proto::envelope::Envelope;
 use platoon_proto::maneuver::{JoinOutcome, ManeuverEngine};
 use platoon_proto::membership::Roster;
 use platoon_proto::messages::{Beacon, PlatoonId, PlatoonMessage, Role};
+use platoon_v2x::hash::{IntMap, IntSet};
 use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Payload, Position};
 use platoon_v2x::spatial::SpatialGrid;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::HashMap;
 
 /// Salt for deriving the trusted authority's key pair from the scenario seed.
 const CA_SEED_SALT: u64 = 0xCA00_0000_0000_0001;
@@ -87,7 +87,7 @@ struct StepScratch {
     rx_entries: Vec<RxEntry>,
     /// Reception: authentication verdicts for one block of `rx_entries`;
     /// `None` where the frame did not decode.
-    verdicts: Vec<Option<Result<PlatoonMessage, RejectReason>>>,
+    verdicts: Vec<Option<Result<Opened, RejectReason>>>,
     /// This step's accepted message observations, in arrival order, for
     /// one batched detector ingest per delivery round.
     observations: Vec<MessageObservation>,
@@ -117,6 +117,16 @@ struct RxEntry {
     rx_idx: u32,
     /// Frame slot of the delivery's payload.
     slot: u32,
+}
+
+/// Where an authenticated delivery's message comes from.
+#[derive(Debug)]
+enum Opened {
+    /// The frame slot's plaintext message, parsed once per slot.
+    Slot,
+    /// A message decrypted for this delivery: an encrypted body is
+    /// ciphertext, so there is no per-slot parse to share.
+    Decrypted(PlatoonMessage),
 }
 
 /// Deliveries verified per thread between two sequential application
@@ -233,7 +243,7 @@ pub struct Engine {
     /// Manoeuvre responses queued by the leader for the next step.
     outbox: Vec<(usize, PlatoonMessage)>,
     /// Latest claimed position per principal (from any accepted beacon).
-    claimed_positions: HashMap<PrincipalId, (f64, f64)>,
+    claimed_positions: IntMap<PrincipalId, (f64, f64)>,
     /// Count of messages rejected by verification or defenses.
     rejected_messages: usize,
     /// Count of detections raised by defenses.
@@ -377,7 +387,7 @@ impl Engine {
             events: EventLog::default(),
             rng,
             outbox: Vec::new(),
-            claimed_positions: HashMap::new(),
+            claimed_positions: IntMap::default(),
             rejected_messages: 0,
             detections: 0,
             pipeline: None,
@@ -1382,21 +1392,33 @@ impl Engine {
 
     /// Engine-level authentication per the deployed key scheme: pure
     /// verification against immutable key material, shardable across
-    /// threads.
+    /// threads. `parsed` says whether the envelope's body parsed in its
+    /// frame slot (once per frame); the authenticator itself runs per
+    /// delivery. A body that does not parse fails authentication.
     fn authenticate_with(
         auth: AuthMode,
         group_key: &SymmetricKey,
         ca: &CertificateAuthority,
         env: &Envelope,
+        parsed: bool,
         now: f64,
-    ) -> Result<PlatoonMessage, RejectReason> {
+    ) -> Result<Opened, RejectReason> {
+        let slot_message = || {
+            if parsed {
+                Ok(Opened::Slot)
+            } else {
+                Err(RejectReason::AuthFailed)
+            }
+        };
         match auth {
-            AuthMode::None => env.open_unverified().map_err(|_| RejectReason::AuthFailed),
+            AuthMode::None => slot_message(),
             AuthMode::GroupMac => env
-                .verify_mac(group_key)
-                .map_err(|_| RejectReason::AuthFailed),
+                .check_mac(group_key)
+                .map_err(|_| RejectReason::AuthFailed)
+                .and_then(|()| slot_message()),
             AuthMode::EncryptedGroupMac => env
                 .open_encrypted(group_key)
+                .map(Opened::Decrypted)
                 .map_err(|_| RejectReason::AuthFailed),
             AuthMode::Pki => {
                 if let platoon_proto::envelope::AuthScheme::Signed { certificate, .. } = &env.auth {
@@ -1404,8 +1426,9 @@ impl Engine {
                         return Err(RejectReason::Distrusted);
                     }
                 }
-                env.verify_signed(&ca.public(), ca.id(), now)
+                env.check_signed(&ca.public(), ca.id(), now)
                     .map_err(|_| RejectReason::AuthFailed)
+                    .and_then(|()| slot_message())
             }
         }
     }
@@ -1415,11 +1438,14 @@ impl Engine {
     /// 1. **Resolve.** Each delivery to a vehicle maps to a slot of the
     ///    round's [`FrameTable`] — by payload allocation, then by bytes —
     ///    so every distinct payload has one slot.
-    /// 2. **Decode once per slot**, sharded over slots when multi-threaded.
-    /// 3. **Verify once per delivery** against the slot's envelope, sharded
-    ///    over the deliveries of a fixed-size block. (Verification is pure
-    ///    and could be memoised per slot too; it is kept per delivery for
-    ///    now — see DESIGN.md §4.)
+    /// 2. **Decode and parse once per slot**: the envelope and its
+    ///    plaintext message, sharded over slots when multi-threaded.
+    /// 3. **Authenticate once per delivery** against the slot's envelope,
+    ///    sharded over the deliveries of a fixed-size block. The None,
+    ///    group-MAC and PKI schemes then take the slot's parsed message; the
+    ///    encrypted scheme decrypts its ciphertext per delivery.
+    ///    (Verification is pure and could be memoised per slot too; it is
+    ///    kept per delivery for now — see DESIGN.md §4.)
     /// 4. **Apply the block sequentially**, in delivery order: PDR accounting,
     ///    rejects, every defense's `filter_rx` (which sees every copy),
     ///    the `(receiver, slot)` protocol dedup, observations, and
@@ -1451,7 +1477,8 @@ impl Engine {
         let mut observations = std::mem::take(&mut self.scratch.observations);
         observations.clear();
 
-        // Steps 1–2: resolve every delivery to a slot, decode each slot once.
+        // Steps 1–2: resolve every delivery to a slot, decode and parse each
+        // slot once.
         let mut table = std::mem::take(&mut self.scratch.frame_table);
         let mut entries = std::mem::take(&mut self.scratch.rx_entries);
         let mut verdicts = std::mem::take(&mut self.scratch.verdicts);
@@ -1504,10 +1531,12 @@ impl Engine {
             verdicts.clear();
             verdicts.resize_with(block.len(), || None);
             par::for_each_mut(&mut verdicts, self.threads, |i, verdict| {
-                *verdict = slots[block[i].slot as usize]
+                let slot = &slots[block[i].slot as usize];
+                let parsed = slot.message.is_some();
+                *verdict = slot
                     .envelope
                     .as_ref()
-                    .map(|env| Self::authenticate_with(auth, group_key, ca, env, now));
+                    .map(|env| Self::authenticate_with(auth, group_key, ca, env, parsed, now));
             });
             for (entry, verdict) in block.iter().zip(verdicts.drain(..)) {
                 let rx_idx = entry.rx_idx as usize;
@@ -1522,14 +1551,18 @@ impl Engine {
                         delivery.latency,
                     );
                 }
-                let (Some(env), Some(auth_verdict)) =
-                    (slots[slot as usize].envelope.as_ref(), verdict)
-                else {
+                let frame = &slots[slot as usize];
+                let (Some(env), Some(auth_verdict)) = (frame.envelope.as_ref(), verdict) else {
                     continue; // undecodable payload
                 };
                 // Engine-level authentication.
+                let decrypted;
                 let msg = match auth_verdict {
-                    Ok(msg) => msg,
+                    Ok(Opened::Slot) => frame.message.as_ref().expect("authenticated slots parse"),
+                    Ok(Opened::Decrypted(msg)) => {
+                        decrypted = msg;
+                        &decrypted
+                    }
                     Err(reason) => {
                         self.rejected_messages += 1;
                         self.events.push(
@@ -1595,12 +1628,12 @@ impl Engine {
                         rx_idx,
                         delivery,
                         env,
-                        &msg,
+                        msg,
                         now,
                         coloc.as_ref(),
                     ));
                 }
-                self.apply_message(rx_idx, env.sender, env, msg, now, &mut layout_cache);
+                self.apply_message(rx_idx, env.sender, env, msg.clone(), now, &mut layout_cache);
             }
         }
         self.perf.detector_observations += observations.len() as u64;

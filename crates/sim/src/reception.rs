@@ -5,73 +5,41 @@
 //! hybrid comms modes onto a second channel too, so one delivery round
 //! holds far fewer distinct payloads than deliveries (a 320-vehicle
 //! corridor tick: ~8300 deliveries, ~320 payloads). The table gives each
-//! distinct payload one **frame slot** and keeps its decoded envelope, so
-//! decoding happens once per frame rather than once per receiver, and the
-//! protocol's "already applied this copy?" check becomes an integer
-//! `(receiver, slot)` compare instead of a digest of the bytes.
+//! distinct payload one **frame slot** and keeps its decoded envelope and
+//! its parsed plaintext message, so decoding and parsing happen once per
+//! frame rather than once per receiver, and the protocol's "already
+//! applied this copy?" check becomes an integer `(receiver, slot)` compare
+//! instead of a digest of the bytes. Authenticators are not memoised: the
+//! engine still runs them once per delivery against the slot's envelope.
 //!
 //! Slots are keyed by *content*: a lookup first tries the payload's
 //! allocation identity (the common case — every delivery of a broadcast
 //! shares one allocation), then falls back to the bytes themselves. A
 //! byte-identical copy under a fresh allocation, such as a replayed frame,
-//! therefore lands in the same slot as the original.
+//! therefore lands in the same slot as the original. The allocation map
+//! uses the workspace's integer hasher; the byte map keeps SipHash,
+//! because an on-air attacker shapes the bytes.
 
 use platoon_proto::envelope::Envelope;
+use platoon_proto::messages::PlatoonMessage;
+use platoon_v2x::hash::IntMap;
 use platoon_v2x::message::Payload;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 
-/// Hasher for integer keys (allocation addresses, packed id pairs): one
-/// folded 64×64→128-bit multiply per word instead of SipHash. Keys are
-/// engine-internal, never attacker-chosen, so hash flooding is moot.
-#[derive(Debug, Default)]
-pub(crate) struct IntHasher(u64);
-
-impl IntHasher {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    fn mix(&mut self, word: u64) {
-        let full = u128::from(self.0 ^ word) * u128::from(Self::K);
-        self.0 = (full as u64) ^ ((full >> 64) as u64);
-    }
-}
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.mix(word);
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.mix(u64::from(word));
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.mix(word as u64);
-    }
-}
-
-/// `HashSet` over integer keys with [`IntHasher`].
-pub(crate) type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
-
-/// One distinct payload of the round and its decoded envelope.
+/// One distinct payload of the round, decoded and parsed once for every
+/// delivery that carries it.
 #[derive(Debug)]
 pub(crate) struct FrameSlot {
     /// The payload bytes (a shared handle, not a copy).
     pub payload: Payload,
     /// The decoded envelope; `None` when the bytes do not decode.
     pub envelope: Option<Envelope>,
+    /// The envelope's body parsed as plaintext
+    /// ([`Envelope::open_unverified`]); `None` when there is no envelope
+    /// or the body does not parse. Authenticators still run per delivery
+    /// and decide whether a receiver may use it; an encrypted body is
+    /// ciphertext, so that scheme opens it per delivery instead.
+    pub message: Option<PlatoonMessage>,
 }
 
 /// The round's unique-frame table. Cleared (keeping capacity) after every
@@ -80,7 +48,7 @@ pub(crate) struct FrameSlot {
 pub(crate) struct FrameTable {
     /// Slot per payload allocation address. Only meaningful while every
     /// looked-up payload is alive, i.e. within one round.
-    by_alloc: HashMap<usize, u32, BuildHasherDefault<IntHasher>>,
+    by_alloc: IntMap<usize, u32>,
     /// Slot per payload content, consulted on an allocation miss.
     by_bytes: HashMap<Payload, u32>,
     /// One entry per distinct payload, in first-seen order.
@@ -103,6 +71,7 @@ impl FrameTable {
                 self.slots.push(FrameSlot {
                     payload: payload.clone(),
                     envelope: None,
+                    message: None,
                 });
                 self.by_bytes.insert(payload.clone(), slot);
                 slot
@@ -112,11 +81,16 @@ impl FrameTable {
         slot
     }
 
-    /// Decodes every slot's envelope, sharded across up to `threads`
-    /// threads over the slots (rng-free and order-independent).
+    /// Decodes every slot's envelope and parses its plaintext body,
+    /// sharded across up to `threads` threads over the slots (rng-free and
+    /// order-independent).
     pub fn decode(&mut self, threads: usize) {
         crate::par::for_each_mut(&mut self.slots, threads, |_, slot| {
             slot.envelope = Envelope::decode(&slot.payload).ok();
+            slot.message = slot
+                .envelope
+                .as_ref()
+                .and_then(|env| env.open_unverified().ok());
         });
     }
 
@@ -137,7 +111,8 @@ impl FrameTable {
 mod tests {
     use super::*;
     use platoon_crypto::cert::PrincipalId;
-    use platoon_proto::messages::{Beacon, PlatoonId, PlatoonMessage, Role};
+    use platoon_proto::envelope::AuthScheme;
+    use platoon_proto::messages::{Beacon, PlatoonId, Role};
 
     fn sealed(seq: u64) -> Payload {
         let beacon = Beacon {
@@ -174,6 +149,15 @@ mod tests {
 
     #[test]
     fn decode_fills_every_decodable_slot_for_any_thread_count() {
+        // An envelope that decodes around a body that does not parse.
+        let unparsable = Payload::from(
+            Envelope {
+                sender: PrincipalId(1),
+                auth: AuthScheme::Plain,
+                payload: vec![0xFF; 3],
+            }
+            .encode(),
+        );
         for threads in [1, 2, 4] {
             let mut table = FrameTable::default();
             for seq in 0..9 {
@@ -181,22 +165,20 @@ mod tests {
             }
             let garbage = Payload::from(vec![0xFF; 5]);
             let bad = table.slot_of(&garbage) as usize;
+            let body = table.slot_of(&unparsable) as usize;
             table.decode(threads);
             for (i, slot) in table.slots().iter().enumerate() {
                 assert_eq!(slot.envelope.is_some(), i != bad, "threads = {threads}");
+                let parsed = slot
+                    .envelope
+                    .as_ref()
+                    .and_then(|e| e.open_unverified().ok());
+                assert_eq!(slot.message, parsed, "threads = {threads}");
+                assert_eq!(slot.message.is_some(), i != bad && i != body);
             }
             table.clear();
             assert!(table.slots().is_empty());
             assert_eq!(table.slot_of(&garbage), 0, "a cleared table starts over");
         }
-    }
-
-    #[test]
-    fn int_set_behaves_like_a_set() {
-        let mut set: IntSet<(usize, u32)> = IntSet::default();
-        assert!(set.insert((3, 7)));
-        assert!(!set.insert((3, 7)));
-        assert!(set.insert((7, 3)));
-        assert_eq!(set.len(), 2);
     }
 }

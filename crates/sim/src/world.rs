@@ -9,6 +9,7 @@ use platoon_dynamics::fuel::FuelMeter;
 use platoon_dynamics::sensors::SensorSuite;
 use platoon_dynamics::vehicle::Vehicle;
 use platoon_proto::messages::{PlatoonId, Role};
+use platoon_v2x::hash::IntMap;
 use platoon_v2x::jamming::Jammer;
 use platoon_v2x::medium::RadioMedium;
 use platoon_v2x::message::{NodeId, Payload, Position};
@@ -204,9 +205,9 @@ pub struct World {
     /// Active jammers (attacks add and remove these).
     pub jammers: Vec<Jammer>,
     /// Principal → vehicle index, rebuilt on membership mutation.
-    principal_lookup: HashMap<PrincipalId, usize>,
+    principal_lookup: IntMap<PrincipalId, usize>,
     /// Radio node → vehicle index, rebuilt on membership mutation.
-    node_lookup: HashMap<NodeId, usize>,
+    node_lookup: IntMap<NodeId, usize>,
 }
 
 /// Per-tick platoon layout computed in one O(n) pass, replacing the
@@ -234,8 +235,8 @@ impl World {
             rsus,
             medium,
             jammers,
-            principal_lookup: HashMap::new(),
-            node_lookup: HashMap::new(),
+            principal_lookup: IntMap::default(),
+            node_lookup: IntMap::default(),
         };
         world.rebuild_lookup();
         world

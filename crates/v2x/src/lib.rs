@@ -15,6 +15,7 @@
 //!   range queries for highway-scale (multi-platoon) worlds.
 //! * [`jamming`] — continuous / periodic / reactive RF jammers.
 //! * [`stats`] — PDR, latency and beacon-age accounting.
+//! * [`hash`] — the integer hasher behind the maps keyed by simulation ids.
 //!
 //! The substrate is *open by construction*: any node can transmit any bytes
 //! on any channel, and any node within radio range receives — this mirrors
@@ -46,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod hash;
 pub mod jamming;
 pub mod medium;
 pub mod message;

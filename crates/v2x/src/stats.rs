@@ -1,17 +1,17 @@
 //! Cumulative link statistics: packet delivery ratio, latency and beacon age
 //! tracking — the availability metrics of the jamming and DoS experiments.
 
+use crate::hash::IntMap;
 use crate::message::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Cumulative per-link and aggregate delivery statistics.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LinkStats {
     /// Frames offered per sender.
-    offered: HashMap<NodeId, u64>,
+    offered: IntMap<NodeId, u64>,
     /// (sender → receiver) successful deliveries.
-    delivered: HashMap<(NodeId, NodeId), u64>,
+    delivered: IntMap<(NodeId, NodeId), u64>,
     /// Sum and count of delivery latencies.
     latency_sum: f64,
     latency_count: u64,
@@ -106,7 +106,7 @@ impl LinkStats {
 /// beacon-age metric used to detect communication loss.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct BeaconAgeTracker {
-    last_heard: HashMap<NodeId, f64>,
+    last_heard: IntMap<NodeId, f64>,
 }
 
 impl BeaconAgeTracker {
