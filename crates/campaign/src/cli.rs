@@ -1,17 +1,10 @@
-//! The `campaign` subcommand (root binary and the bench report binary).
+//! The `campaign` subcommand of the root binary.
 
 use crate::search::{self, CampaignConfig, Evaluator};
 use platoon_core::experiments::common::EXPERIMENT_BASE_SEED;
-use platoon_sim::harness::golden;
-use std::path::{Path, PathBuf};
-
-/// Writes `CAMPAIGN_<label>.json` into `out_dir`.
-fn write_report_file(document: &str, label: &str, out_dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("CAMPAIGN_{label}.json"));
-    std::fs::write(&path, document)?;
-    Ok(path)
-}
+use platoon_sim::harness::cli;
+use platoon_sim::harness::golden::Tolerance;
+use std::path::PathBuf;
 
 /// Entry point for the `campaign` subcommand. Returns the process exit
 /// code.
@@ -23,68 +16,43 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut check_golden: Option<PathBuf> = None;
     let mut server: Option<String> = None;
     let mut attacks: Option<Vec<String>> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--server" => server = Some(value("--server")?),
-                "--attacks" => {
-                    attacks = Some(
-                        value("--attacks")?
-                            .split(',')
-                            .map(|s| s.trim().to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect(),
-                    )
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: campaign [--quick] [--seed N] [--workers N] [--out DIR]\n\
-                         \x20               [--check-golden PATH] [--server ADDR] [--attacks a,b]\n\
-                         \x20 --quick          small search over three attacks (the CI smoke grid)\n\
-                         \x20 --seed N         campaign seed (default: {EXPERIMENT_BASE_SEED}); same seed,\n\
-                         \x20                  byte-identical CAMPAIGN_<label>.json\n\
-                         \x20 --workers N      in-process worker threads (default: available parallelism)\n\
-                         \x20 --out DIR        where CAMPAIGN_<label>.json is written (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P\n\
-                         \x20 --server ADDR    evaluate cells on a running platoon-server (its\n\
-                         \x20                  content-addressed cache dedupes repeated cells)\n\
-                         \x20 --attacks LIST   comma-separated attack names to search instead of\n\
-                         \x20                  the effort default"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
+    let usage = format!(
+        "usage: campaign [--quick] [--seed N] [--workers N] [--out DIR]\n\
+         \x20               [--check-golden PATH] [--server ADDR] [--attacks a,b]\n\
+         \x20 --quick          small search over three attacks (the CI smoke grid)\n\
+         \x20 --seed N         campaign seed (default: {EXPERIMENT_BASE_SEED}); same seed,\n\
+         \x20                  byte-identical CAMPAIGN_<label>.json\n\
+         \x20 --workers N      in-process worker threads (default: available parallelism)\n\
+         \x20 --out DIR        where CAMPAIGN_<label>.json is written (default: .)\n\
+         \x20 --check-golden P snapshot-match the document against P\n\
+         \x20 --server ADDR    evaluate cells on a running platoon-server (its\n\
+         \x20                  content-addressed cache dedupes repeated cells)\n\
+         \x20 --attacks LIST   comma-separated attack names to search instead of\n\
+         \x20                  the effort default"
+    );
+    let parsed = cli::parse_flags(args, &usage, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--seed" => seed = flag.parse()?,
+            "--workers" => workers = flag.parse()?,
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            "--server" => server = Some(flag.value()?),
+            "--attacks" => {
+                attacks = Some(
+                    flag.value()?
+                        .split(',')
+                        .map(|s| s.trim().to_string())
+                        .filter(|s| !s.is_empty())
+                        .collect(),
+                )
             }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let mut config = CampaignConfig::new(quick, seed);
@@ -127,7 +95,7 @@ pub fn cli_main(args: &[String]) -> i32 {
     eprintln!("{} unique cells evaluated", report.total_cells);
 
     let document = search::to_canonical_json(&report);
-    match write_report_file(&document, label, &out_dir) {
+    match cli::write_document(&out_dir, &format!("CAMPAIGN_{label}.json"), &document) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("error: writing report: {e}");
@@ -136,13 +104,8 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_golden {
-        match golden::check(&path, &document, golden::Tolerance::snapshot()) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("campaign drift:\n{diff}");
-                return 1;
-            }
+        if !cli::check_golden(&path, &document, Tolerance::snapshot(), "campaign") {
+            return 1;
         }
     }
     0

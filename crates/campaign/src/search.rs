@@ -24,9 +24,10 @@
 use platoon_attacks::params::{param_space, searchable_attacks, AttackParams, ParamKind};
 use platoon_core::experiments::campaign::{parse_outcome, CandidateOutcome};
 use platoon_core::experiments::common::EXPERIMENT_BASE_SEED;
-use platoon_server::job::{fnv1a, JobSpec};
+use platoon_server::job::JobSpec;
 use platoon_server::net::Client;
 use platoon_server::service::{Service, ServiceConfig};
+use platoon_sim::fnv1a;
 use platoon_sim::harness::json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -24,7 +24,8 @@
 use platoon_crypto::cert::PrincipalId;
 use platoon_proto::messages::PlatoonId;
 use platoon_sim::engine::Engine;
-use platoon_sim::harness::{golden, json, Batch, BatchReport, JobOutcome};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, json, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{
     AuthMode, JoinerAgent, JoinerCredentials, RunSummary, Scenario, ScenarioBuilder,
 };
@@ -424,16 +425,32 @@ fn write_report_files(
     report: &CorridorReport,
     out_dir: &Path,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(out_dir)?;
-    let doc = out_dir.join(format!("CORRIDOR_{}.json", report.label));
-    std::fs::write(&doc, to_canonical_json(report))?;
-    let bench = out_dir.join(format!("BENCH_corridor_{}.json", report.label));
-    std::fs::write(&bench, report.bench_document())?;
+    let label = &report.label;
+    let doc = cli::write_document(
+        out_dir,
+        &format!("CORRIDOR_{label}.json"),
+        to_canonical_json(report),
+    )?;
+    let bench = cli::write_document(
+        out_dir,
+        &format!("BENCH_corridor_{label}.json"),
+        report.bench_document(),
+    )?;
     Ok((doc, bench))
 }
 
-/// Entry point for the `corridor` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
+const USAGE: &str = "usage: corridor [--quick] [--workers N] [--threads N] [--out DIR]\n\
+\x20               [--check-golden PATH] [--assert-speedup]\n\
+\x20 --quick          the 48-vehicle CI smoke corridor (indexed + all-pairs)\n\
+\x20 --workers N      harness worker processes (default: available parallelism)\n\
+\x20 --threads N      intra-run engine threads (default: 1; never changes results)\n\
+\x20 --out DIR        where CORRIDOR_*.json / BENCH_corridor_*.json land (default: .)\n\
+\x20 --check-golden P snapshot-match the canonical document against P\n\
+\x20 --assert-speedup fail unless the indexed medium sampled strictly\n\
+\x20                  fewer pairs than the all-pairs scan";
+
+/// Entry point for the `corridor` subcommand. Returns the process exit
+/// code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut quick = false;
     let mut workers = platoon_sim::harness::default_workers();
@@ -441,56 +458,20 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut out_dir = PathBuf::from(".");
     let mut check_golden: Option<PathBuf> = None;
     let mut assert_speedup = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--threads" => {
-                    threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--assert-speedup" => assert_speedup = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: corridor [--quick] [--workers N] [--threads N] [--out DIR]\n\
-                         \x20               [--check-golden PATH] [--assert-speedup]\n\
-                         \x20 --quick          the 48-vehicle CI smoke corridor (indexed + all-pairs)\n\
-                         \x20 --workers N      harness worker processes (default: available parallelism)\n\
-                         \x20 --threads N      intra-run engine threads (default: 1; never changes results)\n\
-                         \x20 --out DIR        where CORRIDOR_*.json / BENCH_corridor_*.json land (default: .)\n\
-                         \x20 --check-golden P snapshot-match the canonical document against P\n\
-                         \x20 --assert-speedup fail unless the indexed medium sampled strictly\n\
-                         \x20                  fewer pairs than the all-pairs scan"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let parsed = cli::parse_flags(args, USAGE, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--workers" => workers = flag.parse()?,
+            "--threads" => threads = flag.parse()?,
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            "--assert-speedup" => assert_speedup = true,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     eprintln!(
@@ -517,18 +498,8 @@ pub fn cli_main(args: &[String]) -> i32 {
 
     let mut failed = report.report.failures().next().is_some();
     if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("corridor drift:\n{diff}");
-                failed = true;
-            }
-        }
+        let document = to_canonical_json(&report);
+        failed |= !cli::check_golden(&path, &document, Tolerance::snapshot(), "corridor");
     }
     if assert_speedup {
         let failures = report.check_speedup();
@@ -541,17 +512,13 @@ pub fn cli_main(args: &[String]) -> i32 {
             failed = true;
         }
     }
-    if failed {
-        1
-    } else {
-        0
-    }
+    i32::from(failed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/corridor_quick.json")

@@ -31,13 +31,14 @@ use platoon_detect::fusion::{Alert, AlertTarget};
 use platoon_detect::kinematic::KinematicConfig;
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_dynamics::profiles::SpeedProfile;
-use platoon_sim::harness::{golden, json, write_run_summary, Batch};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, json, write_run_summary, Batch};
 use platoon_sim::prelude::{
     score_alerts, steps_for, DetectionSummary, Engine, RegimePhase, RegimePlan, RunSummary,
     TruthLabels,
 };
 use platoon_trace::TraceRecorder;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Detector profiles compared by the experiment.
 pub const PROFILES: [&str; 2] = ["cruise", "regime-aware"];
@@ -374,20 +375,19 @@ pub fn resume_check(quick: bool, seed: u64) -> (String, String) {
     (straight_doc, resumed_doc)
 }
 
-/// Writes `REGIME_<label>.json` into `out_dir`, returning the path.
-fn write_report_file(
-    report: &RegimeReport,
-    label: &str,
-    out_dir: &Path,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let doc = out_dir.join(format!("REGIME_{label}.json"));
-    std::fs::write(&doc, to_canonical_json(report))?;
-    Ok(doc)
-}
+const USAGE: &str = "usage: regimes [--quick] [--workers N] [--seed N] [--out DIR]\n\
+\x20              [--check-golden PATH] [--resume-check]\n\
+\x20 --quick          short run (the CI smoke scenario)\n\
+\x20 --workers N      worker threads (default: available parallelism)\n\
+\x20 --seed N         pin the run seed (default: the experiment base seed)\n\
+\x20 --out DIR        where REGIME_<label>.json lands (default: .)\n\
+\x20 --check-golden P snapshot-match the document against P\n\
+\x20 --resume-check   also run the snapshot/restore/resume byte-identity\n\
+\x20                  check, writing REGIME_resume_straight.json and\n\
+\x20                  REGIME_resume_resumed.json";
 
-/// Entry point for the `regimes` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
+/// Entry point for the `regimes` subcommand. Returns the process exit
+/// code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut quick = false;
     let mut workers = platoon_sim::harness::default_workers();
@@ -395,59 +395,20 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut out_dir = PathBuf::from(".");
     let mut check_golden: Option<PathBuf> = None;
     let mut resume = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--seed" => {
-                    seed = Some(
-                        value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?,
-                    )
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--resume-check" => resume = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: regimes [--quick] [--workers N] [--seed N] [--out DIR]\n\
-                         \x20              [--check-golden PATH] [--resume-check]\n\
-                         \x20 --quick          short run (the CI smoke scenario)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --seed N         pin the run seed (default: the experiment base seed)\n\
-                         \x20 --out DIR        where REGIME_<label>.json lands (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P\n\
-                         \x20 --resume-check   also run the snapshot/restore/resume byte-identity\n\
-                         \x20                  check, writing REGIME_resume_straight.json and\n\
-                         \x20                  REGIME_resume_resumed.json"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let parsed = cli::parse_flags(args, USAGE, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--workers" => workers = flag.parse()?,
+            "--seed" => seed = Some(flag.parse()?),
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            "--resume-check" => resume = true,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let label = if quick { "quick" } else { "full" };
@@ -467,7 +428,8 @@ pub fn cli_main(args: &[String]) -> i32 {
                 .join(" ")
         );
     }
-    match write_report_file(&report, label, &out_dir) {
+    let document = to_canonical_json(&report);
+    match cli::write_document(&out_dir, &format!("REGIME_{label}.json"), &document) {
         Ok(doc) => eprintln!("wrote {}", doc.display()),
         Err(e) => {
             eprintln!("error: writing report: {e}");
@@ -476,27 +438,14 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("regime drift:\n{diff}");
-                return 1;
-            }
+        if !cli::check_golden(&path, &document, Tolerance::snapshot(), "regime") {
+            return 1;
         }
     }
 
     if resume {
         let (straight, resumed) = resume_check(quick, seed.unwrap_or(EXPERIMENT_BASE_SEED));
-        let write = |name: &str, doc: &str| -> std::io::Result<PathBuf> {
-            let path = out_dir.join(name);
-            std::fs::write(&path, doc)?;
-            Ok(path)
-        };
+        let write = |name: &str, doc: &str| cli::write_document(&out_dir, name, doc);
         match (
             write("REGIME_resume_straight.json", &straight),
             write("REGIME_resume_resumed.json", &resumed),
@@ -520,7 +469,8 @@ pub fn cli_main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
+    use std::path::Path;
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/regime_quick.json")

@@ -24,10 +24,11 @@ use platoon_faults::{
     BurstPacketLoss, ClockSkew, FaultWindow, NoiseFloorRamp, RsuBlackout, SensorOutage,
 };
 use platoon_sim::fault::Fault;
-use platoon_sim::harness::{golden, json, Batch};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, json, Batch};
 use platoon_sim::prelude::{per_frame_ratio, score_alerts, DetectionSummary, Engine, RunSummary};
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Fault arms swept by the experiment ("none" is the clean control).
 pub const FAULTS: [&str; 6] = [
@@ -322,70 +323,36 @@ pub fn render(report: &RobustnessReport) -> TextTable {
     t
 }
 
-/// Writes `ROBUSTNESS_<label>.json` into `out_dir`.
-fn write_report_file(
-    report: &RobustnessReport,
-    label: &str,
-    out_dir: &Path,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("ROBUSTNESS_{label}.json"));
-    std::fs::write(&path, to_canonical_json(report))?;
-    Ok(path)
-}
+const USAGE: &str = "usage: robustness [--quick] [--workers N] [--out DIR]\n\
+\x20                 [--check-golden PATH] [--inject-panic]\n\
+\x20 --quick          short runs (the CI smoke grid)\n\
+\x20 --workers N      worker threads (default: available parallelism)\n\
+\x20 --out DIR        where ROBUSTNESS_<label>.json is written (default: .)\n\
+\x20 --check-golden P snapshot-match the document against P\n\
+\x20 --inject-panic   append a deliberately panicking job (the batch\n\
+\x20                  must still exit 0 with the failure recorded)";
 
-/// Entry point for the `robustness` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
+/// Entry point for the `robustness` subcommand. Returns the process exit
+/// code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut quick = false;
     let mut workers = platoon_sim::harness::default_workers();
     let mut out_dir = PathBuf::from(".");
     let mut check_golden: Option<PathBuf> = None;
     let mut inject_panic = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--inject-panic" => inject_panic = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: robustness [--quick] [--workers N] [--out DIR]\n\
-                         \x20                 [--check-golden PATH] [--inject-panic]\n\
-                         \x20 --quick          short runs (the CI smoke grid)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --out DIR        where ROBUSTNESS_<label>.json is written (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P\n\
-                         \x20 --inject-panic   append a deliberately panicking job (the batch\n\
-                         \x20                  must still exit 0 with the failure recorded)"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let parsed = cli::parse_flags(args, USAGE, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--workers" => workers = flag.parse()?,
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            "--inject-panic" => inject_panic = true,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let label = if quick { "quick" } else { "full" };
@@ -402,7 +369,8 @@ pub fn cli_main(args: &[String]) -> i32 {
     for (job, reason) in &report.failed_jobs {
         eprintln!("failed job {job:?}: {reason}");
     }
-    match write_report_file(&report, label, &out_dir) {
+    let document = to_canonical_json(&report);
+    match cli::write_document(&out_dir, &format!("ROBUSTNESS_{label}.json"), &document) {
         Ok(path) => eprintln!(
             "wrote {} ({} rows, {} failed job(s))",
             path.display(),
@@ -416,17 +384,8 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("robustness drift:\n{diff}");
-                return 1;
-            }
+        if !cli::check_golden(&path, &document, Tolerance::snapshot(), "robustness") {
+            return 1;
         }
     }
     0
@@ -435,7 +394,8 @@ pub fn cli_main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
+    use std::path::Path;
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/robustness_quick.json")

@@ -15,7 +15,8 @@
 use super::common::{base_scenario, make_attack, Effort, EXPERIMENT_BASE_SEED};
 use super::robustness::make_fault;
 use super::table4::profile_for;
-use platoon_sim::harness::{golden, Batch, BatchReport, JobOutcome};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{Engine, RunSummary};
 use platoon_trace::{diff_traces, TraceRecorder};
 use std::path::{Path, PathBuf};
@@ -141,16 +142,16 @@ fn write_report_files(
     label: &str,
     out_dir: &Path,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(out_dir)?;
-    let doc = out_dir.join(format!("TRACE_{label}.json"));
-    std::fs::write(&doc, to_canonical_json(report))?;
-    let jsonl = out_dir.join(format!("TRACE_{label}.jsonl"));
-    std::fs::write(&jsonl, &report.jsonl)?;
+    let doc = cli::write_document(
+        out_dir,
+        &format!("TRACE_{label}.json"),
+        to_canonical_json(report),
+    )?;
+    let jsonl = cli::write_document(out_dir, &format!("TRACE_{label}.jsonl"), &report.jsonl)?;
     Ok((doc, jsonl))
 }
 
-/// Entry point for the `trace` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
+/// Entry point for the `trace` subcommand. Returns the process exit code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut quick = false;
     let mut workers = platoon_sim::harness::default_workers();
@@ -158,58 +159,31 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut seed: Option<u64> = None;
     let mut out_dir = PathBuf::from(".");
     let mut check_golden: Option<PathBuf> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--attack" => attack = value("--attack")?,
-                "--seed" => {
-                    seed = Some(
-                        value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?,
-                    )
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: trace [--quick] [--workers N] [--attack NAME] [--seed N]\n\
-                         \x20            [--out DIR] [--check-golden PATH]\n\
-                         \x20 --quick          short run (the CI smoke scenario)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --attack NAME    attack arm to trace (default: {DEFAULT_ATTACK};\n\
-                         \x20                  `benign` for no attack)\n\
-                         \x20 --seed N         pin the run seed (default: the experiment base seed)\n\
-                         \x20 --out DIR        where TRACE_<label>.json/.jsonl land (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let usage = format!(
+        "usage: trace [--quick] [--workers N] [--attack NAME] [--seed N]\n\
+         \x20            [--out DIR] [--check-golden PATH]\n\
+         \x20 --quick          short run (the CI smoke scenario)\n\
+         \x20 --workers N      worker threads (default: available parallelism)\n\
+         \x20 --attack NAME    attack arm to trace (default: {DEFAULT_ATTACK};\n\
+         \x20                  `benign` for no attack)\n\
+         \x20 --seed N         pin the run seed (default: the experiment base seed)\n\
+         \x20 --out DIR        where TRACE_<label>.json/.jsonl land (default: .)\n\
+         \x20 --check-golden P snapshot-match the document against P"
+    );
+    let parsed = cli::parse_flags(args, &usage, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--workers" => workers = flag.parse()?,
+            "--attack" => attack = flag.value()?,
+            "--seed" => seed = Some(flag.parse()?),
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let label = if quick { "quick" } else { "full" };
@@ -243,17 +217,9 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("trace drift:\n{diff}");
-                return 1;
-            }
+        let document = to_canonical_json(&report);
+        if !cli::check_golden(&path, &document, Tolerance::snapshot(), "trace") {
+            return 1;
         }
     }
     0
@@ -303,7 +269,7 @@ pub fn diff_cli_main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
     use platoon_trace::diff::END_OF_TRACE;
 
     fn golden_path() -> PathBuf {

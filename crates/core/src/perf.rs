@@ -17,13 +17,13 @@
 //!   ([`PerfReport::compare_baseline`]), catching order-of-magnitude
 //!   regressions without flaking on machine noise.
 //!
-//! Both the root binary (`cargo run --release -- perf --quick`) and the
-//! report binary (`report perf --quick`) feed [`cli_main`].
+//! The root binary's `perf` subcommand (`cargo run --release -- perf
+//! --quick`) is [`cli_main`].
 
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_sim::engine::Engine;
-use platoon_sim::harness::golden::{self, Tolerance};
-use platoon_sim::harness::{json, Batch};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, json, Batch};
 use platoon_sim::perf::PerfCounters;
 use platoon_sim::prelude::{AuthMode, CommsMode, ControllerKind, Scenario};
 use std::path::{Path, PathBuf};
@@ -269,13 +269,6 @@ impl PerfReport {
         w.finish()
     }
 
-    /// Compares the deterministic projection exactly against the golden at
-    /// `path` (honours `UPDATE_GOLDEN=1`, like every other golden in the
-    /// repo).
-    pub fn check_counters_golden(&self, path: &Path) -> Result<golden::Outcome, String> {
-        golden::check(path, &self.counters_document(), Tolerance::exact())
-    }
-
     /// Compares wall times against a previously recorded `BENCH_*.json`.
     ///
     /// A cell regresses when its wall time exceeds the baseline cell's by
@@ -329,13 +322,24 @@ impl PerfReport {
 
 /// Writes `BENCH_<label>.json` into `dir` and returns the path.
 pub fn write_report_file(report: &PerfReport, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{}.json", report.label));
-    std::fs::write(&path, report.to_canonical_json())?;
-    Ok(path)
+    cli::write_document(
+        dir,
+        &format!("BENCH_{}.json", report.label),
+        report.to_canonical_json(),
+    )
 }
 
-/// The shared `perf` subcommand entry. Parses `args` (everything after the
+const USAGE: &str = "usage: perf [--quick] [--workers N] [--label L] [--out DIR]\n\
+\x20           [--check-golden PATH] [--baseline PATH] [--tolerance FRAC]\n\
+\x20 --quick          short runs (the CI smoke grid)\n\
+\x20 --workers N      worker threads (default: available parallelism)\n\
+\x20 --label L        document label (default: quick/full)\n\
+\x20 --out DIR        where BENCH_<label>.json is written (default: .)\n\
+\x20 --check-golden P exact-match the counter projection against P\n\
+\x20 --baseline P     fail on >FRAC wall-time regression vs P\n\
+\x20 --tolerance F    baseline tolerance fraction (default: 0.30)";
+
+/// The `perf` subcommand entry. Parses `args` (everything after the
 /// subcommand word), runs the grid, writes `BENCH_<label>.json`, and applies
 /// the requested gates. Returns the process exit code.
 ///
@@ -351,57 +355,21 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut check_golden: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut tolerance = 0.30;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--label" => label = Some(value("--label")?),
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-                "--tolerance" => {
-                    tolerance = value("--tolerance")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance: {e}"))?
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: perf [--quick] [--workers N] [--label L] [--out DIR]\n\
-                         \x20           [--check-golden PATH] [--baseline PATH] [--tolerance FRAC]\n\
-                         \x20 --quick          short runs (the CI smoke grid)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --label L        document label (default: quick/full)\n\
-                         \x20 --out DIR        where BENCH_<label>.json is written (default: .)\n\
-                         \x20 --check-golden P exact-match the counter projection against P\n\
-                         \x20 --baseline P     fail on >FRAC wall-time regression vs P\n\
-                         \x20 --tolerance F    baseline tolerance fraction (default: 0.30)"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let parsed = cli::parse_flags(args, USAGE, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--workers" => workers = flag.parse()?,
+            "--label" => label = Some(flag.value()?),
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            "--baseline" => baseline = Some(flag.value()?.into()),
+            "--tolerance" => tolerance = flag.parse()?,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let label = label.unwrap_or_else(|| if quick { "quick" } else { "full" }.to_string());
@@ -426,16 +394,8 @@ pub fn cli_main(args: &[String]) -> i32 {
 
     let mut failed = false;
     if let Some(path) = check_golden {
-        match report.check_counters_golden(&path) {
-            Ok(golden::Outcome::Match) => eprintln!("counters match {}", path.display()),
-            Ok(golden::Outcome::Updated) => {
-                eprintln!("counters golden written: {}", path.display())
-            }
-            Err(diff) => {
-                eprintln!("counter drift:\n{diff}");
-                failed = true;
-            }
-        }
+        let counters = report.counters_document();
+        failed |= !cli::check_golden(&path, &counters, Tolerance::exact(), "counter");
     }
     if let Some(path) = baseline {
         match report.compare_baseline(&path, tolerance) {
@@ -459,11 +419,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             }
         }
     }
-    if failed {
-        1
-    } else {
-        0
-    }
+    i32::from(failed)
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@ use crate::factory::{run_with, scoring_seeds, seeds_per_cell, DatasetReport};
 use platoon_core::experiments::common::EXPERIMENT_BASE_SEED;
 use platoon_core::tables::{num, TextTable};
 use platoon_detect::features::FEATURE_NAMES;
-use platoon_sim::harness::{golden, json};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, json};
 use std::path::{Path, PathBuf};
 
 /// Canonical JSON rendering of a dataset run — the golden-snapshot
@@ -116,74 +117,49 @@ pub fn render(report: &DatasetReport) -> TextTable {
 /// summary path.
 fn write_report_files(
     report: &DatasetReport,
-    quick: bool,
+    document: &str,
     label: &str,
     out_dir: &Path,
 ) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("DATASET_{label}.json"));
-    std::fs::write(&path, to_canonical_json(report, quick))?;
-    std::fs::write(
-        out_dir.join(format!("dataset_train_{label}.bin")),
-        report.train.encode(),
-    )?;
-    std::fs::write(
-        out_dir.join(format!("dataset_test_{label}.bin")),
-        report.test.encode(),
-    )?;
+    let path = cli::write_document(out_dir, &format!("DATASET_{label}.json"), document)?;
+    for (split, shard) in [("train", &report.train), ("test", &report.test)] {
+        cli::write_document(
+            out_dir,
+            &format!("dataset_{split}_{label}.bin"),
+            shard.encode(),
+        )?;
+    }
     Ok(path)
 }
 
-/// Entry point for the `dataset` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
+const USAGE: &str = "usage: dataset [--quick] [--workers N] [--out DIR]\n\
+\x20              [--check-golden PATH]\n\
+\x20 --quick          short runs (the CI smoke grid)\n\
+\x20 --workers N      worker threads (default: available parallelism)\n\
+\x20 --out DIR        where DATASET_<label>.json and the\n\
+\x20                  dataset_{train,test}_<label>.bin shards are\n\
+\x20                  written (default: .)\n\
+\x20 --check-golden P snapshot-match the summary against P";
+
+/// Entry point for the `dataset` subcommand. Returns the process exit
+/// code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut quick = false;
     let mut workers = platoon_sim::harness::default_workers();
     let mut out_dir = PathBuf::from(".");
     let mut check_golden: Option<PathBuf> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: dataset [--quick] [--workers N] [--out DIR]\n\
-                         \x20              [--check-golden PATH]\n\
-                         \x20 --quick          short runs (the CI smoke grid)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --out DIR        where DATASET_<label>.json and the\n\
-                         \x20                  dataset_{{train,test}}_<label>.bin shards are\n\
-                         \x20                  written (default: .)\n\
-                         \x20 --check-golden P snapshot-match the summary against P"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let parsed = cli::parse_flags(args, USAGE, |flag| {
+        match flag.name() {
+            "--quick" => quick = true,
+            "--workers" => workers = flag.parse()?,
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let label = if quick { "quick" } else { "full" };
@@ -197,7 +173,8 @@ pub fn cli_main(args: &[String]) -> i32 {
         report.test.rows(),
         report.test.positives()
     );
-    match write_report_files(&report, quick, label, &out_dir) {
+    let document = to_canonical_json(&report, quick);
+    match write_report_files(&report, &document, label, &out_dir) {
         Ok(path) => eprintln!(
             "wrote {} plus train/test shards ({} comparison rows)",
             path.display(),
@@ -210,17 +187,8 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 
     if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report, quick),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("dataset drift:\n{diff}");
-                return 1;
-            }
+        if !cli::check_golden(&path, &document, Tolerance::snapshot(), "dataset") {
+            return 1;
         }
     }
     0
@@ -232,7 +200,7 @@ mod tests {
     use crate::factory::COMPARED_CONFIGS;
     use platoon_core::experiments::table4;
     use platoon_sim::harness::default_workers;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/dataset_quick.json")

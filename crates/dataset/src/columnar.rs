@@ -20,6 +20,7 @@
 //! with a plain `cmp`.
 
 use platoon_detect::features::{FEATURE_NAMES, NUM_FEATURES};
+use platoon_sim::fnv1a;
 use platoon_sim::harness::json;
 
 /// Leading magic bytes of every shard.
@@ -34,17 +35,6 @@ fn row_count(value: Option<&json::Value>) -> Option<usize> {
     // 2^64 is the first float past `usize::MAX` on 64-bit targets.
     let fits = n >= 0.0 && n.fract() == 0.0 && n < usize::MAX as f64;
     fits.then_some(n as usize)
-}
-
-/// FNV-1a over a byte stream — the same digest family the job server's
-/// content-addressed cache keys use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One export cell's rows: a single (attack arm, seed) run.
@@ -187,8 +177,8 @@ impl Shard {
             };
             let seed = meta
                 .get("seed")
-                .and_then(|v| v.as_f64())
-                .ok_or("cell missing seed")?;
+                .and_then(json::Value::as_safe_u64)
+                .ok_or("cell seed missing or not an integer below 2^53")?;
             let rows = row_count(meta.get("rows")).ok_or("cell rows missing or not a row count")?;
             cell_rows = cell_rows
                 .checked_add(rows)
@@ -211,7 +201,7 @@ impl Shard {
             .into_iter()
             .map(|(label, seed, rows)| CellBlock {
                 label,
-                seed: seed as u64,
+                seed,
                 features: vec![[0.0; NUM_FEATURES]; rows],
                 labels: vec![0; rows],
             })
@@ -322,11 +312,20 @@ mod tests {
             r#"{"cells":[{"label":"x","seed":1,"rows":0.5}],"rows":0.5}"#,
             r#"{"cells":[{"label":"x","seed":1,"rows":9e18},{"label":"y","seed":2,"rows":9e18}],"rows":0}"#,
             r#"{"cells":[{"label":"x","seed":1,"rows":1}],"rows":1}"#,
+            r#"{"cells":[{"label":"x","seed":-1,"rows":0}],"rows":0}"#,
+            r#"{"cells":[{"label":"x","seed":0.5,"rows":0}],"rows":0}"#,
+            r#"{"cells":[{"label":"x","seed":1e30,"rows":0}],"rows":0}"#,
+            r#"{"cells":[{"label":"x","seed":9007199254740992,"rows":0}],"rows":0}"#,
+            r#"{"cells":[{"label":"x","seed":9007199254740993,"rows":0}],"rows":0}"#,
+            r#"{"cells":[{"label":"x","seed":"1","rows":0}],"rows":0}"#,
         ] {
             assert!(Shard::decode(&forged(header)).is_err(), "{header}");
         }
         let empty = r#"{"cells":[{"label":"x","seed":1,"rows":0}],"rows":0}"#;
         assert_eq!(Shard::decode(&forged(empty)).unwrap().rows(), 0);
+        let largest = r#"{"cells":[{"label":"x","seed":9007199254740991,"rows":0}],"rows":0}"#;
+        let shard = Shard::decode(&forged(largest)).unwrap();
+        assert_eq!(shard.cells[0].seed, (1 << 53) - 1);
     }
 
     proptest::proptest! {

@@ -20,7 +20,7 @@
 //! an entry whose header is missing or wrong, or whose document is not
 //! UTF-8, is deleted and counted in [`CacheStats::rejected`], never served.
 
-use crate::job::fnv1a;
+use platoon_sim::fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -1,5 +1,5 @@
-//! The `serve` and `submit` subcommands (wired into the root
-//! `platoon-security` binary and the bench `report` binary).
+//! The `serve` and `submit` subcommands of the root `platoon-security`
+//! binary.
 //!
 //! ```text
 //! serve  [--addr A] [--workers N] [--threads N] [--cache-dir DIR]
@@ -25,7 +25,8 @@ use crate::grids::{experiment_grid, EXPERIMENTS};
 use crate::job::{JobSpec, CODE_VERSION};
 use crate::net::{stats_line, Client, NetServer};
 use crate::service::{JobStatus, Service, ServiceConfig};
-use platoon_sim::harness::{golden, json};
+use platoon_sim::harness::golden::Tolerance;
+use platoon_sim::harness::{cli, json};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,63 +98,30 @@ pub fn serve_cli_main(args: &[String]) -> i32 {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut config = ServiceConfig::default();
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--addr" => addr = value("--addr")?,
-                "--workers" => {
-                    config.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--threads" => {
-                    config.engine_threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--cache-dir" => config.cache.dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--cache-bytes" => {
-                    config.cache.max_bytes = value("--cache-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-bytes: {e}"))?
-                }
-                "--job-budget-secs" => {
-                    let secs: f64 = value("--job-budget-secs")?
-                        .parse()
-                        .map_err(|e| format!("--job-budget-secs: {e}"))?;
-                    config.job_budget = Some(Duration::from_secs_f64(secs));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: serve [--addr A] [--workers N] [--threads N] [--cache-dir DIR]\n\
-                         \x20            [--cache-bytes N] [--job-budget-secs S]\n\
-                         \x20 --addr A            listen address (default: {DEFAULT_ADDR}; use :0 for ephemeral)\n\
-                         \x20 --workers N         job worker threads (default: available parallelism)\n\
-                         \x20 --threads N         engine threads per corridor job (default: 1)\n\
-                         \x20 --cache-dir DIR     persist cached results here (survive restarts)\n\
-                         \x20 --cache-bytes N     cache byte budget before LRU eviction (default: 64 MiB)\n\
-                         \x20 --job-budget-secs S per-job wall-time budget, execution time only"
-                    );
-                    return Err(String::new());
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let usage = format!(
+        "usage: serve [--addr A] [--workers N] [--threads N] [--cache-dir DIR]\n\
+         \x20            [--cache-bytes N] [--job-budget-secs S]\n\
+         \x20 --addr A            listen address (default: {DEFAULT_ADDR}; use :0 for ephemeral)\n\
+         \x20 --workers N         job worker threads (default: available parallelism)\n\
+         \x20 --threads N         engine threads per corridor job (default: 1)\n\
+         \x20 --cache-dir DIR     persist cached results here (survive restarts)\n\
+         \x20 --cache-bytes N     cache byte budget before LRU eviction (default: 64 MiB)\n\
+         \x20 --job-budget-secs S per-job wall-time budget, execution time only"
+    );
+    let parsed = cli::parse_flags(args, &usage, |flag| {
+        match flag.name() {
+            "--addr" => addr = flag.value()?,
+            "--workers" => config.workers = flag.parse()?,
+            "--threads" => config.engine_threads = flag.parse()?,
+            "--cache-dir" => config.cache.dir = Some(flag.value()?.into()),
+            "--cache-bytes" => config.cache.max_bytes = flag.parse()?,
+            "--job-budget-secs" => config.job_budget = Some(flag.parse_secs()?),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let service = match Service::start(config) {
@@ -196,79 +164,47 @@ pub fn submit_cli_main(args: &[String]) -> i32 {
     let mut check_golden: Option<PathBuf> = None;
     let mut assert_all_hits = false;
     let mut shutdown_after = false;
-    let mut retry_secs = 10.0f64;
+    let mut retry = Duration::from_secs(10);
     let mut config = ServiceConfig::default();
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--experiment" => experiment = Some(value("--experiment")?),
-                "--quick" => quick = true,
-                "--addr" => addr = value("--addr")?,
-                "--in-process" => in_process = true,
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--assert-all-hits" => assert_all_hits = true,
-                "--shutdown" => shutdown_after = true,
-                "--retry-secs" => {
-                    retry_secs = value("--retry-secs")?
-                        .parse()
-                        .map_err(|e| format!("--retry-secs: {e}"))?
-                }
-                "--workers" => {
-                    config.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--threads" => {
-                    config.engine_threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--cache-dir" => config.cache.dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--cache-bytes" => {
-                    config.cache.max_bytes = value("--cache-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-bytes: {e}"))?
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: submit --experiment NAME [--quick] [--addr A | --in-process]\n\
-                         \x20             [--out DIR] [--check-golden PATH] [--assert-all-hits]\n\
-                         \x20             [--shutdown] [--retry-secs S]\n\
-                         \x20             [--workers N] [--threads N] [--cache-dir DIR] [--cache-bytes N]\n\
-                         \x20 --experiment NAME  grid to submit: {}\n\
-                         \x20 --quick            quick effort (the CI smoke shape)\n\
-                         \x20 --addr A           server endpoint (default: {DEFAULT_ADDR})\n\
-                         \x20 --in-process       run an embedded service instead of connecting\n\
-                         \x20 --out DIR          where SERVICE_*.json land (default: .)\n\
-                         \x20 --check-golden P   exact-match the batch document against P\n\
-                         \x20 --assert-all-hits  fail unless every job was a cache hit\n\
-                         \x20 --shutdown         ask the server to stop after this batch\n\
-                         \x20 --retry-secs S     keep retrying the connection this long (default: 10)\n\
-                         \x20 --workers/--threads/--cache-dir/--cache-bytes: --in-process knobs",
-                        EXPERIMENTS.join(", ")
-                    );
-                    return Err(String::new());
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+    let usage = format!(
+        "usage: submit --experiment NAME [--quick] [--addr A | --in-process]\n\
+         \x20             [--out DIR] [--check-golden PATH] [--assert-all-hits]\n\
+         \x20             [--shutdown] [--retry-secs S]\n\
+         \x20             [--workers N] [--threads N] [--cache-dir DIR] [--cache-bytes N]\n\
+         \x20 --experiment NAME  grid to submit: {}\n\
+         \x20 --quick            quick effort (the CI smoke shape)\n\
+         \x20 --addr A           server endpoint (default: {DEFAULT_ADDR})\n\
+         \x20 --in-process       run an embedded service instead of connecting\n\
+         \x20 --out DIR          where SERVICE_*.json land (default: .)\n\
+         \x20 --check-golden P   exact-match the batch document against P\n\
+         \x20 --assert-all-hits  fail unless every job was a cache hit\n\
+         \x20 --shutdown         ask the server to stop after this batch\n\
+         \x20 --retry-secs S     keep retrying the connection this long (default: 10)\n\
+         \x20 --workers/--threads/--cache-dir/--cache-bytes: --in-process knobs",
+        EXPERIMENTS.join(", ")
+    );
+    let parsed = cli::parse_flags(args, &usage, |flag| {
+        match flag.name() {
+            "--experiment" => experiment = Some(flag.value()?),
+            "--quick" => quick = true,
+            "--addr" => addr = flag.value()?,
+            "--in-process" => in_process = true,
+            "--out" => out_dir = flag.value()?.into(),
+            "--check-golden" => check_golden = Some(flag.value()?.into()),
+            "--assert-all-hits" => assert_all_hits = true,
+            "--shutdown" => shutdown_after = true,
+            "--retry-secs" => retry = flag.parse_secs()?,
+            "--workers" => config.workers = flag.parse()?,
+            "--threads" => config.engine_threads = flag.parse()?,
+            "--cache-dir" => config.cache.dir = Some(flag.value()?.into()),
+            "--cache-bytes" => config.cache.max_bytes = flag.parse()?,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(code) = parsed {
+        return code;
     }
 
     let Some(experiment) = experiment else {
@@ -302,7 +238,7 @@ pub fn submit_cli_main(args: &[String]) -> i32 {
             }
         }
     } else {
-        match run_remote(&addr, retry_secs, shutdown_after, &specs) {
+        match run_remote(&addr, retry, shutdown_after, &specs) {
             Ok(pair) => pair,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -315,25 +251,19 @@ pub fn submit_cli_main(args: &[String]) -> i32 {
         eprintln!("  {:<40} {:>6}  {}", row.label, row.status, row.key);
     }
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("error: creating {}: {e}", out_dir.display());
-        return 1;
-    }
-    let doc_path = out_dir.join(format!("SERVICE_{experiment}_{effort}.json"));
     let document = batch_document(&experiment, effort, &rows);
-    if let Err(e) = std::fs::write(&doc_path, &document) {
-        eprintln!("error: writing {}: {e}", doc_path.display());
-        return 1;
-    }
-    let stats_path = out_dir.join(format!("SERVICE_STATS_{experiment}_{effort}.json"));
-    if let Err(e) = std::fs::write(
-        &stats_path,
-        stats_document(&experiment, effort, &stats, &rows),
+    let stats = stats_document(&experiment, effort, &stats, &rows);
+    let write = |name: String, doc: &str| cli::write_document(&out_dir, &name, doc);
+    match (
+        write(format!("SERVICE_{experiment}_{effort}.json"), &document),
+        write(format!("SERVICE_STATS_{experiment}_{effort}.json"), &stats),
     ) {
-        eprintln!("error: writing {}: {e}", stats_path.display());
-        return 1;
+        (Ok(doc), Ok(stats)) => eprintln!("wrote {} and {}", doc.display(), stats.display()),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: writing report: {e}");
+            return 1;
+        }
     }
-    eprintln!("wrote {} and {}", doc_path.display(), stats_path.display());
 
     let mut failed = false;
     let failures: Vec<&Row> = rows.iter().filter(|r| r.status == "failed").collect();
@@ -348,14 +278,7 @@ pub fn submit_cli_main(args: &[String]) -> i32 {
         failed = true;
     }
     if let Some(path) = check_golden {
-        match golden::check(&path, &document, golden::Tolerance::exact()) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("service document drift:\n{diff}");
-                failed = true;
-            }
-        }
+        failed |= !cli::check_golden(&path, &document, Tolerance::exact(), "service document");
     }
     if assert_all_hits {
         let misses = rows.iter().filter(|r| r.status != "hit").count();
@@ -369,11 +292,7 @@ pub fn submit_cli_main(args: &[String]) -> i32 {
             failed = true;
         }
     }
-    if failed {
-        1
-    } else {
-        0
-    }
+    i32::from(failed)
 }
 
 fn run_in_process(config: ServiceConfig, specs: &[JobSpec]) -> Result<(Vec<Row>, String), String> {
@@ -407,12 +326,12 @@ fn run_in_process(config: ServiceConfig, specs: &[JobSpec]) -> Result<(Vec<Row>,
 
 fn run_remote(
     addr: &str,
-    retry_secs: f64,
+    retry: Duration,
     shutdown_after: bool,
     specs: &[JobSpec],
 ) -> Result<(Vec<Row>, String), String> {
-    let mut client = Client::connect(addr, Some(Duration::from_secs_f64(retry_secs)))
-        .map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client =
+        Client::connect(addr, Some(retry)).map_err(|e| format!("connecting to {addr}: {e}"))?;
     let version = client.ping()?;
     if version != CODE_VERSION {
         return Err(format!(

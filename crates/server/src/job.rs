@@ -15,6 +15,7 @@
 
 use platoon_attacks::prelude::AttackParams;
 use platoon_core::experiments::common::Effort;
+use platoon_sim::fnv1a;
 use platoon_sim::harness::json::{self, Value};
 use platoon_sim::harness::write_run_summary;
 use platoon_sim::prelude::DetectionSummary;
@@ -23,17 +24,6 @@ use platoon_sim::prelude::DetectionSummary;
 /// (or change this scheme) and every previously cached result misses —
 /// results are only reusable across runs of the *same* code.
 pub const CODE_VERSION: &str = concat!("platoon-server/", env!("CARGO_PKG_VERSION"));
-
-/// 64-bit FNV-1a over a byte string — the cache's content-address hash
-/// (the same family the harness uses for label-derived seeds).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One runnable unit of work: an experiment arm by name.
 ///
@@ -588,9 +578,9 @@ fn seed_field(v: &Value, key: &str) -> Result<u64, String> {
         Some(Value::Str(s)) => s
             .parse::<u64>()
             .map_err(|e| format!("{key:?} is not a decimal u64: {e}")),
-        Some(Value::Num(x)) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-            Ok(*x as u64)
-        }
+        Some(n @ Value::Num(_)) => n
+            .as_safe_u64()
+            .ok_or_else(|| format!("{key:?} is not an integer below 2^53 (send a string)")),
         _ => Err(format!("job spec needs a seed string in {key:?}")),
     }
 }
@@ -711,6 +701,32 @@ mod tests {
             fnv1a(spec.to_canonical_json().as_bytes()),
             "cache keys must be scoped to the code version"
         );
+    }
+
+    #[test]
+    fn number_seeds_must_be_integers_below_2_pow_53() {
+        let canonical = sample_specs()[0].to_canonical_json();
+        assert!(canonical.contains("\"seed\": \"2021\""), "{canonical}");
+        let with_seed = |seed: &str| canonical.replace("\"2021\"", seed);
+        for forged in [
+            "-1",
+            "0.5",
+            "1e30",
+            "9007199254740992",
+            "9007199254740993",
+            "\"-1\"",
+            "\"18446744073709551616\"",
+        ] {
+            let text = with_seed(forged);
+            assert!(JobSpec::parse(&text).is_err(), "{text}");
+        }
+        let parsed = |seed: &str| match JobSpec::parse(&with_seed(seed)).unwrap() {
+            JobSpec::Arm { seed, .. } => seed,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(parsed("2021"), 2021);
+        assert_eq!(parsed("9007199254740991"), (1 << 53) - 1);
+        assert_eq!(parsed("\"18446744073709551615\""), u64::MAX);
     }
 
     #[test]

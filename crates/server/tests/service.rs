@@ -6,6 +6,7 @@ use platoon_server::grids::experiment_grid;
 use platoon_server::job::{cache_key, JobSpec, CODE_VERSION};
 use platoon_server::net::{Client, NetServer, MAX_REQUEST_LINE};
 use platoon_server::service::{JobStatus, Service, ServiceConfig};
+use platoon_sim::harness::json;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -103,6 +104,33 @@ proptest! {
         let roundtrip = reloaded.get(key).expect("persisted key reloads");
         prop_assert_eq!(&*roundtrip, document.as_str());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Request-line decoders never panic: truncated and byte-mutated
+    /// canonical specs, and arbitrary bytes, each decode to `Ok` or `Err`.
+    /// Mutations favour JSON's structural bytes and digits so they reach
+    /// past the first syntax error.
+    #[test]
+    fn mutated_and_arbitrary_specs_never_panic(
+        shape in any::<u64>(),
+        seed in any::<u64>(),
+        cut in 0usize..512,
+        edits in proptest::collection::vec((0usize..512, any::<u8>()), 0..6),
+        noise in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        const ALPHABET: &[u8] = b"{}[]\",:-+.0123456789eE \\";
+        let mut bytes = arb_spec(shape, seed).to_canonical_json().into_bytes();
+        bytes.truncate(cut);
+        for &(at, b) in &edits {
+            if !bytes.is_empty() {
+                let i = at % bytes.len();
+                bytes[i] = if b < 128 { ALPHABET[usize::from(b) % ALPHABET.len()] } else { b };
+            }
+        }
+        for line in [String::from_utf8_lossy(&bytes), String::from_utf8_lossy(&noise)] {
+            let _ = json::parse(&line);
+            let _ = JobSpec::parse(&line);
+        }
     }
 }
 

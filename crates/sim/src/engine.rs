@@ -927,8 +927,6 @@ impl Engine {
     /// the trace digest. Two engines with equal digests continue
     /// byte-identically; the snapshot machinery uses it to verify restores.
     pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut words: Vec<u64> = Vec::with_capacity(24 + self.world.vehicles.len() * 7);
         words.push(self.steps_run);
         words.push(self.world.time.to_bits());
@@ -968,14 +966,9 @@ impl Engine {
             let d = tracer.digest();
             words.extend([d.records, d.dropped, d.hash]);
         }
-        let mut hash = FNV_OFFSET;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        hash
+        words.iter().fold(crate::FNV1A_OFFSET, |hash, word| {
+            crate::fnv1a_extend(hash, &word.to_le_bytes())
+        })
     }
 
     /// Advances the engine by `ticks` communication steps.

@@ -21,6 +21,8 @@
 //! * [`json`] — the tiny canonical JSON writer and parser the above are
 //!   built on (the workspace's serde is an offline no-op stand-in, so
 //!   serialization is explicit and therefore stable by construction).
+//! * [`cli`] — the flag loop, golden-check reporter and document writer
+//!   every subcommand entry point shares.
 
 use crate::exec::{self, JobTiming};
 use crate::metrics::RunSummary;
@@ -37,14 +39,7 @@ pub use crate::exec::JobOutcome;
 /// neither worker count nor submission order can influence it, which is what
 /// makes batch results scheduling-independent.
 pub fn derive_seed(label: &str, base_seed: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    let mut z = h ^ base_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut z = crate::fnv1a(label.as_bytes()) ^ base_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     for _ in 0..2 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -506,6 +501,17 @@ pub mod json {
                     "nan" => Some(f64::NAN),
                     _ => None,
                 },
+                _ => None,
+            }
+        }
+
+        /// A number that is a non-negative integer below 2^53 — the range
+        /// in which the `f64` a number parses to is the integer that was
+        /// written (2^53 + 1 parses to 2^53). Anything else is `None`.
+        pub fn as_safe_u64(&self) -> Option<u64> {
+            const LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+            match self {
+                Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < LIMIT => Some(*x as u64),
                 _ => None,
             }
         }
@@ -1042,6 +1048,117 @@ pub mod golden {
     }
 }
 
+pub mod cli {
+    //! The scaffold every subcommand's entry point shares: one flag loop,
+    //! one golden-check reporter and one document writer.
+    //!
+    //! Exit codes follow one convention: 0 for success or `--help`, 1 for a
+    //! failed run or a drifted golden, 2 for a usage error.
+
+    use super::golden::{self, Tolerance};
+    use std::path::{Path, PathBuf};
+    use std::time::Duration;
+
+    /// The flag being applied, with the arguments after it.
+    pub struct Flag<'a> {
+        name: &'a str,
+        rest: std::slice::Iter<'a, String>,
+    }
+
+    impl<'a> Flag<'a> {
+        /// The flag as written, e.g. `--workers`.
+        pub fn name(&self) -> &'a str {
+            self.name
+        }
+
+        /// Takes the flag's value: the next argument.
+        pub fn value(&mut self) -> Result<String, String> {
+            self.rest
+                .next()
+                .cloned()
+                .ok_or_else(|| format!("{} needs a value", self.name))
+        }
+
+        /// Takes the flag's value and parses it.
+        pub fn parse<T>(&mut self) -> Result<T, String>
+        where
+            T: std::str::FromStr,
+            T::Err: std::fmt::Display,
+        {
+            self.value()?
+                .parse()
+                .map_err(|e| format!("{}: {e}", self.name))
+        }
+
+        /// Takes the flag's value as a non-negative number of seconds.
+        pub fn parse_secs(&mut self) -> Result<Duration, String> {
+            let secs = self.parse()?;
+            Duration::try_from_secs_f64(secs).map_err(|e| format!("{}: {e}", self.name))
+        }
+    }
+
+    /// Walks `args` flag by flag. `--help`/`-h` prints `usage` and stops
+    /// with exit code 0. Every other flag goes to `apply`, which returns
+    /// `Ok(true)` once it has taken the flag (and any value), `Ok(false)` for
+    /// a flag it does not know, or `Err` with a message. Unknown flags and
+    /// errors print `error: ...` and stop with exit code 2.
+    ///
+    /// `Err(code)` means the command is done and should exit with `code`.
+    pub fn parse_flags(
+        args: &[String],
+        usage: &str,
+        mut apply: impl FnMut(&mut Flag<'_>) -> Result<bool, String>,
+    ) -> Result<(), i32> {
+        let mut flag = Flag {
+            name: "",
+            rest: args.iter(),
+        };
+        while let Some(arg) = flag.rest.next() {
+            if arg == "--help" || arg == "-h" {
+                eprintln!("{usage}");
+                return Err(0);
+            }
+            flag.name = arg;
+            let message = match apply(&mut flag) {
+                Ok(true) => continue,
+                Ok(false) => format!("unknown argument `{arg}` (try --help)"),
+                Err(message) => message,
+            };
+            eprintln!("error: {message}");
+            return Err(2);
+        }
+        Ok(())
+    }
+
+    /// Checks `document` against the golden at `path` and reports the
+    /// outcome on stderr. Returns `false` on drift, which prints the
+    /// per-path diff under a `{what} drift:` heading.
+    pub fn check_golden(path: &Path, document: &str, tol: Tolerance, what: &str) -> bool {
+        match golden::check(path, document, tol) {
+            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
+            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
+            Err(diff) => {
+                eprintln!("{what} drift:\n{diff}");
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Writes `contents` to `dir/name`, creating `dir` first, and returns
+    /// the path.
+    pub fn write_document(
+        dir: &Path,
+        name: &str,
+        contents: impl AsRef<[u8]>,
+    ) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(name);
+        std::fs::write(&path, contents)?;
+        Ok(path)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::golden::Tolerance;
@@ -1050,6 +1167,38 @@ mod tests {
     use crate::exec::panic_message;
     use crate::scenario::Scenario;
     use std::panic::AssertUnwindSafe;
+
+    #[test]
+    fn flag_loop_applies_values_and_stops_on_help_or_error() {
+        fn parse(args: &[&str]) -> (Result<(), i32>, bool, u32) {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let (mut quick, mut workers) = (false, 0u32);
+            let result = cli::parse_flags(&args, "usage: test", |flag| {
+                match flag.name() {
+                    "--quick" => quick = true,
+                    "--workers" => workers = flag.parse()?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            });
+            (result, quick, workers)
+        }
+        assert_eq!(parse(&["--workers", "3", "--quick"]), (Ok(()), true, 3));
+        assert_eq!(parse(&[]), (Ok(()), false, 0));
+        assert_eq!(parse(&["--quick", "--help", "--bogus"]).0, Err(0));
+        assert_eq!(parse(&["-h"]).0, Err(0));
+        assert_eq!(parse(&["--bogus", "--help"]).0, Err(2));
+        assert_eq!(parse(&["--workers"]).0, Err(2));
+        assert_eq!(parse(&["--workers", "x"]).0, Err(2));
+        // A value is taken verbatim, even one that looks like a flag.
+        let mut seen = None;
+        let args = vec!["--label".to_string(), "--help".to_string()];
+        let result = cli::parse_flags(&args, "usage: test", |flag| {
+            seen = Some(flag.value()?);
+            Ok(true)
+        });
+        assert_eq!((result, seen.as_deref()), (Ok(()), Some("--help")));
+    }
 
     #[test]
     fn derived_seeds_are_stable_and_label_sensitive() {

@@ -57,6 +57,30 @@ pub mod scenario;
 pub mod trace;
 pub mod world;
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running 64-bit FNV-1a `hash`. Start from
+/// [`FNV1A_OFFSET`]; `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+///
+/// The workspace's one content digest: label-derived seeds, engine state
+/// digests, trace digests, cache keys and dataset shard digests all fold
+/// through here. Unkeyed, so it detects accidents, not forgeries.
+#[inline]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// 64-bit FNV-1a over `bytes`.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
     pub use crate::agents::{JoinerAgent, JoinerCredentials, JoinerOutcome};
@@ -95,6 +119,17 @@ mod tests {
                 .seed(1)
                 .build()
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_64_bit_vectors() {
+        assert_eq!(crate::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(crate::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(crate::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            crate::fnv1a_extend(crate::fnv1a(b"foo"), b"bar"),
+            crate::fnv1a(b"foobar")
+        );
     }
 
     #[test]

@@ -1,17 +1,13 @@
 //! The bounded JSONL trace recorder.
 
 use platoon_sim::trace::{TraceDigest, TraceRecord, Tracer};
+use platoon_sim::{fnv1a_extend, FNV1A_OFFSET};
 use std::any::Any;
 
 /// Default retained-line bound: generous enough for any experiment in this
 /// workspace (a 60 s full-effort scenario emits a few thousand records)
 /// while still bounding a pathological alert storm.
 pub const DEFAULT_CAPACITY: usize = 1_000_000;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A deterministic, bounded trace recorder.
 ///
@@ -51,7 +47,7 @@ impl TraceRecorder {
             capacity,
             records: 0,
             dropped: 0,
-            hash: FNV_OFFSET,
+            hash: FNV1A_OFFSET,
         }
     }
 
@@ -91,13 +87,8 @@ impl TraceRecorder {
     }
 
     fn fold(&mut self, line: &str) {
-        for byte in line.as_bytes() {
-            self.hash ^= u64::from(*byte);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
         // Delimit lines in the hash stream the same way the file does.
-        self.hash ^= u64::from(b'\n');
-        self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        self.hash = fnv1a_extend(fnv1a_extend(self.hash, line.as_bytes()), b"\n");
     }
 }
 

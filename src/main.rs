@@ -1,6 +1,7 @@
-//! The workspace's front-door binary.
+//! The workspace's one binary: every command of the reproduction.
 //!
 //! ```text
+//! cargo run --release -- report --quick      # every table and figure (fast pass)
 //! cargo run --release -- perf --quick        # perf grid → BENCH_quick.json
 //! cargo run --release -- robustness --quick  # fault grid → ROBUSTNESS_quick.json
 //! cargo run --release -- trace --quick       # traced run → TRACE_quick.jsonl
@@ -13,64 +14,94 @@
 //! cargo run --release -- dataset --quick     # labeled shards + learned baseline → DATASET_quick.json
 //! cargo run --release -- perf --help         # all perf options
 //! ```
-//!
-//! The full table/figure report stays with the bench crate
-//! (`cargo run --release -p platoon-bench --bin report`).
+
+/// A command's entry point: takes the arguments after the command name and
+/// returns the process exit code.
+type Entry = fn(&[String]) -> i32;
+
+/// Every command: its name, one-line summary and entry point. The
+/// top-level usage is generated from this table.
+const COMMANDS: &[(&str, &str, Entry)] = &[
+    (
+        "report",
+        "every table and figure of the reproduction, printed to stdout",
+        platoon_core::report::cli_main,
+    ),
+    (
+        "perf",
+        "perf grid → BENCH_<label>.json",
+        platoon_core::perf::cli_main,
+    ),
+    (
+        "robustness",
+        "detection quality under benign faults → ROBUSTNESS_<label>.json",
+        platoon_core::experiments::robustness::cli_main,
+    ),
+    (
+        "trace",
+        "deterministic per-tick trace of one scenario → TRACE_<label>.json/.jsonl",
+        platoon_core::experiments::trace::cli_main,
+    ),
+    (
+        "trace-diff",
+        "first diverging tick/phase between two traces",
+        platoon_core::experiments::trace::diff_cli_main,
+    ),
+    (
+        "corridor",
+        "highway-scale multi-platoon corridor → CORRIDOR_<label>.json + BENCH_corridor_<label>.json",
+        platoon_core::experiments::corridor::cli_main,
+    ),
+    (
+        "regimes",
+        "detection quality across driving regimes → REGIME_<label>.json",
+        platoon_core::experiments::regimes::cli_main,
+    ),
+    (
+        "serve",
+        "persistent job server with a content-addressed result cache",
+        platoon_server::cli::serve_cli_main,
+    ),
+    (
+        "submit",
+        "submit an experiment grid to the server (or --in-process) → SERVICE_*.json",
+        platoon_server::cli::submit_cli_main,
+    ),
+    (
+        "campaign",
+        "adversarial stealth-vs-damage parameter search → CAMPAIGN_<label>.json",
+        platoon_campaign::cli::cli_main,
+    ),
+    (
+        "dataset",
+        "labeled train/test shards + the learned detector baseline → DATASET_<label>.json",
+        platoon_dataset::cli::cli_main,
+    ),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("perf") => std::process::exit(platoon_core::perf::cli_main(&args[1..])),
-        Some("robustness") => {
-            std::process::exit(platoon_core::experiments::robustness::cli_main(&args[1..]))
-        }
-        Some("trace") => std::process::exit(platoon_core::experiments::trace::cli_main(&args[1..])),
-        Some("corridor") => {
-            std::process::exit(platoon_core::experiments::corridor::cli_main(&args[1..]))
-        }
-        Some("regimes") => {
-            std::process::exit(platoon_core::experiments::regimes::cli_main(&args[1..]))
-        }
-        Some("trace-diff") => {
-            std::process::exit(platoon_core::experiments::trace::diff_cli_main(&args[1..]))
-        }
-        Some("serve") => std::process::exit(platoon_server::cli::serve_cli_main(&args[1..])),
-        Some("submit") => std::process::exit(platoon_server::cli::submit_cli_main(&args[1..])),
-        Some("campaign") => std::process::exit(platoon_campaign::cli::cli_main(&args[1..])),
-        Some("dataset") => std::process::exit(platoon_dataset::cli::cli_main(&args[1..])),
-        Some("--help") | Some("-h") | None => {
+    let code = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => {
             eprintln!(
-                "usage: platoon-security <command>\n\
-                 \x20 perf [options]        run the perf grid and write BENCH_<label>.json\n\
-                 \x20                       (see `perf --help`)\n\
-                 \x20 robustness [options]  detection quality under benign faults, written\n\
-                 \x20                       to ROBUSTNESS_<label>.json (see `robustness --help`)\n\
-                 \x20 trace [options]       deterministic per-tick trace of one scenario,\n\
-                 \x20                       written to TRACE_<label>.json/.jsonl (see `trace --help`)\n\
-                 \x20 trace-diff A B        first diverging tick/phase between two traces\n\
-                 \x20 corridor [options]    highway-scale multi-platoon corridor, written to\n\
-                 \x20                       CORRIDOR_<label>.json + BENCH_corridor_<label>.json\n\
-                 \x20                       (see `corridor --help`)\n\
-                 \x20 regimes [options]     detection quality across driving regimes (cruise →\n\
-                 \x20                       congestion → stop-and-go → tunnel), written to\n\
-                 \x20                       REGIME_<label>.json (see `regimes --help`)\n\
-                 \x20 serve [options]       persistent job server with a content-addressed\n\
-                 \x20                       result cache (see `serve --help`)\n\
-                 \x20 submit [options]      submit an experiment grid to the server (or\n\
-                 \x20                       --in-process), writing SERVICE_*.json\n\
-                 \x20                       (see `submit --help`)\n\
-                 \x20 campaign [options]    adversarial stealth-vs-damage parameter search,\n\
-                 \x20                       written to CAMPAIGN_<label>.json (see `campaign --help`)\n\
-                 \x20 dataset [options]     labeled per-beacon train/test shards + the learned\n\
-                 \x20                       detector baseline, written to DATASET_<label>.json\n\
-                 \x20                       (see `dataset --help`)\n\
-                 For tables and figures: cargo run --release -p platoon-bench --bin report"
+                "usage: platoon-security <command> [options]   (<command> --help for its options)"
             );
-            std::process::exit(if args.is_empty() { 2 } else { 0 });
+            for (name, summary, _) in COMMANDS {
+                eprintln!("  {name:<11} {summary}");
+            }
+            if args.is_empty() {
+                2
+            } else {
+                0
+            }
         }
-        Some(other) => {
-            eprintln!("error: unknown command `{other}` (try --help)");
-            std::process::exit(2);
-        }
-    }
+        Some(command) => match COMMANDS.iter().find(|(name, ..)| *name == command) {
+            Some((_, _, entry)) => entry(&args[1..]),
+            None => {
+                eprintln!("error: unknown command `{command}` (try --help)");
+                2
+            }
+        },
+    };
+    std::process::exit(code);
 }

@@ -12,6 +12,7 @@
 //! interferers a receiver sums, or to the order it sums them in, moves an
 //! RSSI-threshold decision or an rng draw and changes a digest.
 
+use platoon_sim::{fnv1a_extend, FNV1A_OFFSET};
 use platoon_v2x::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -72,14 +73,6 @@ fn medium(radio_horizon_m: f64) -> RadioMedium {
     }
 }
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn fold(mut h: u64, deliveries: &[Delivery]) -> u64 {
     for d in deliveries {
         let channel: u8 = match d.channel {
@@ -87,11 +80,11 @@ fn fold(mut h: u64, deliveries: &[Delivery]) -> u64 {
             ChannelKind::CV2x => 1,
             ChannelKind::Vlc => 2,
         };
-        h = fnv1a(h, &d.sender.0.to_le_bytes());
-        h = fnv1a(h, &d.receiver.0.to_le_bytes());
-        h = fnv1a(h, &[channel]);
-        h = fnv1a(h, &d.rssi_dbm.to_bits().to_le_bytes());
-        h = fnv1a(h, &d.latency.to_bits().to_le_bytes());
+        h = fnv1a_extend(h, &d.sender.0.to_le_bytes());
+        h = fnv1a_extend(h, &d.receiver.0.to_le_bytes());
+        h = fnv1a_extend(h, &[channel]);
+        h = fnv1a_extend(h, &d.rssi_dbm.to_bits().to_le_bytes());
+        h = fnv1a_extend(h, &d.latency.to_bits().to_le_bytes());
     }
     h
 }
@@ -102,8 +95,8 @@ fn hidden_terminal_interference_is_pinned() {
     let scan = medium(f64::INFINITY);
     let covering = medium(1.0e5);
     let pruned = medium(600.0);
-    let mut scan_digest = 0xcbf2_9ce4_8422_2325;
-    let mut pruned_digest = 0xcbf2_9ce4_8422_2325;
+    let mut scan_digest = FNV1A_OFFSET;
+    let mut pruned_digest = FNV1A_OFFSET;
     let mut lost = 0;
     for seed in 0..SEEDS {
         let mut rng_scan = StdRng::seed_from_u64(seed);

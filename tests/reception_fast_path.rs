@@ -14,6 +14,7 @@ use platoon_detect::pipeline::PipelineConfig;
 use platoon_proto::envelope::{AuthScheme, Envelope};
 use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::prelude::*;
+use platoon_sim::{fnv1a_extend, FNV1A_OFFSET};
 use platoon_trace::TraceRecorder;
 use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Payload};
 use rand::rngs::StdRng;
@@ -363,14 +364,6 @@ const UNPARSABLE_PINS: [(AuthMode, usize, u64); 3] = [
     (AuthMode::Pki, 150, 0x853b_f282_5992_e921),
 ];
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn authenticated_frame_with_an_unparsable_body_is_rejected_once_per_delivery() {
     for (auth, rejected, digest) in UNPARSABLE_PINS {
@@ -400,7 +393,7 @@ fn authenticated_frame_with_an_unparsable_body_is_rejected_once_per_delivery() {
             "{auth:?}"
         );
         assert_eq!(engine.events().dropped(), 0);
-        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut h = FNV1A_OFFSET;
         let mut events = 0;
         for logged in engine.events().events() {
             if let Event::MessageRejected {
@@ -411,10 +404,10 @@ fn authenticated_frame_with_an_unparsable_body_is_rejected_once_per_delivery() {
             {
                 assert_eq!(reason, RejectReason::AuthFailed, "{auth:?}");
                 assert_eq!(sender, PrincipalId(1), "{auth:?}");
-                h = fnv1a(h, &logged.time.to_bits().to_le_bytes());
-                h = fnv1a(h, &(receiver as u64).to_le_bytes());
-                h = fnv1a(h, &sender.0.to_le_bytes());
-                h = fnv1a(h, format!("{reason:?}").as_bytes());
+                h = fnv1a_extend(h, &logged.time.to_bits().to_le_bytes());
+                h = fnv1a_extend(h, &(receiver as u64).to_le_bytes());
+                h = fnv1a_extend(h, &sender.0.to_le_bytes());
+                h = fnv1a_extend(h, format!("{reason:?}").as_bytes());
                 events += 1;
             }
         }
